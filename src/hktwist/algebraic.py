@@ -7,21 +7,21 @@ the Sturm chain evaluated at x.  Each isolated root becomes an
 isolating interval — on which comparison, squaring, rescaling and decimal
 rendering are all exact.  No floating point is involved anywhere.
 
-Rational roots are recognized and snapped to exact points: the simplest
-rational in the isolating interval (by continued fractions) is tested
-against the polynomial, and the interval is refined until the candidate
-either verifies or its denominator exceeds SNAP_DENOMINATOR_BOUND, which
-certifies that no rational with a smaller denominator can be the root.
+Rational roots are recognized and snapped to exact points by the rational
+root theorem: the isolating polynomial is primitive with integer
+coefficients, so every rational root is m/L with L = |leading coefficient|.
+A copy of the isolating interval is bisected until it is narrower than 1/L;
+it then holds at most one such candidate, and a single evaluation decides.
+The test is exact for every denominator.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exact import DEFAULT_SIG_DIGITS, UniPoly, decimal_str, format_rational
-
-SNAP_DENOMINATOR_BOUND = 10**6
 
 
 # -- Sturm machinery ------------------------------------------------------
@@ -86,7 +86,8 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
 
     Standard continued-fraction walk (Stern-Brocot).  Among rationals with
     the minimal denominator it returns the one with the smallest numerator
-    magnitude, which is all the snapper needs.
+    magnitude.  Root isolation does not use it: rational roots are found by
+    the rational root theorem (see the module docstring).
     """
     if not lo < hi:
         raise ValueError("empty interval")
@@ -382,8 +383,9 @@ def isolate_real_roots(poly: UniPoly) -> list[AlgebraicReal]:
     """All real roots of ``poly``, ascending, as exact AlgebraicReals.
 
     Works on the square-free part, so multiplicities collapse.  Rational
-    roots come back as exact points (see module docstring for the snapping
-    rule); irrational roots carry sign-straddling isolating intervals.
+    roots, whatever their denominator, come back as exact points (by the
+    rational root theorem, see the module docstring); irrational roots carry
+    sign-straddling isolating intervals.
     """
     if poly.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -452,24 +454,28 @@ def _certify_single(
 
 
 def _snap_rational(poly: UniPoly, lo: Fraction, hi: Fraction) -> Fraction | None:
-    """Exact rational root in (lo, hi), or None if denominators exceed the bound.
+    """The rational root of ``poly`` in (lo, hi), or None if the root is irrational.
 
-    The simplest rational in an open interval minimizes the denominator over
-    the whole interval, so once it exceeds SNAP_DENOMINATOR_BOUND no rational
-    at or under the bound remains and the root is reported as irrational.
+    ``poly`` is primitive with integer coefficients, so by the rational root
+    theorem every rational root is m/L with L = |leading coefficient|.  Once
+    the sign-straddling interval is narrower than 1/L it holds at most one
+    such point, floor(lo*L) + 1 over L, and one evaluation decides.
     """
-    while True:
-        candidate = simplest_between(lo, hi)
-        if candidate.denominator > SNAP_DENOMINATOR_BOUND:
-            return None
-        if poly(candidate) == 0:
-            return candidate
-        # Candidate is not the root; cut the interval at the candidate so the
-        # next simplest rational is strictly more complex.
-        if poly(lo) * poly(candidate) < 0:
-            hi = candidate
+    lead = abs(poly.leading)
+    lo_sign = poly(lo) > 0
+    while (hi - lo) * lead >= 1:
+        mid = (lo + hi) / 2
+        value = poly(mid)
+        if value == 0:
+            return mid
+        if (value > 0) == lo_sign:
+            lo = mid
         else:
-            lo = candidate
+            hi = mid
+    candidate = Fraction(math.floor(lo * lead) + 1, lead)
+    if candidate < hi and poly(candidate) == 0:
+        return candidate
+    return None
 
 
 def largest_real_root(poly: UniPoly) -> AlgebraicReal:

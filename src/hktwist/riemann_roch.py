@@ -16,7 +16,7 @@ term by term.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 from .exact import UniPoly, format_rational
 from .series import ChernMonomial, GradedSeries, UNIT
@@ -203,16 +203,28 @@ def _exact_root(value: Fraction, k: int) -> Fraction:
         raise ValueError("negative radicand")
 
     def iroot(m: int) -> int:
-        r = round(m ** (1 / k))
-        while r**k > m:
-            r -= 1
-        while (r + 1) ** k <= m:
-            r += 1
+        r = isqrt(m) if k == 2 else _integer_root(m, k)
         if r**k != m:
             raise ValueError(f"{m} has no exact integer {k}-th root")
         return r
 
     return Fraction(iroot(value.numerator), iroot(value.denominator))
+
+
+def _integer_root(m: int, k: int) -> int:
+    """floor(m ** (1/k)) for an integer m >= 0, by integer Newton steps.
+
+    The start 2^ceil(bits/k) is at least the root, and from above the
+    iteration decreases monotonically to the floor root.
+    """
+    if m == 0:
+        return 0
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def cube_chern_numbers() -> tuple[Fraction, Fraction, Fraction]:

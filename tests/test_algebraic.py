@@ -1,6 +1,8 @@
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from hktwist.algebraic import (
@@ -37,6 +39,18 @@ def test_rational_roots_snap():
     roots = isolate_real_roots(UniPoly((-24, 3)))
     assert len(roots) == 1
     assert roots[0].is_rational and roots[0].rational_value() == 8
+
+
+@pytest.mark.parametrize("denominator", [1000003, 10**12 + 39])
+def test_large_denominator_rational_root_is_exact(denominator):
+    """A rational root with any denominator snaps exactly, and quickly."""
+    start = time.perf_counter()
+    roots = isolate_real_roots(UniPoly((-1, denominator)) * UniPoly((-2, 0, 1)))
+    elapsed = time.perf_counter() - start
+    assert len(roots) == 3
+    assert [r.is_rational for r in roots] == [False, True, False]
+    assert roots[1].rational_value() == Fraction(1, denominator)
+    assert elapsed < 1.0
 
 
 def test_sqrt2():
@@ -134,3 +148,46 @@ def test_square_of_sqrt_recovers_value(value):
     p = UniPoly((-value, 0, 1))
     root = largest_real_root(p)
     assert root.square() == AlgebraicReal.from_rational(value)
+
+
+def _fraction(value) -> Fraction:
+    return Fraction(int(value.p), int(value.q))
+
+
+_planted = st.tuples(
+    st.integers(min_value=1, max_value=10**9),  # denominator d
+    st.integers(min_value=-3, max_value=3),  # the root m/d lies near this integer
+    st.integers(min_value=-5, max_value=5),  # m = that integer * d + this offset
+    st.integers(min_value=1, max_value=3),  # multiplicity
+    st.booleans(),  # also plant the neighbour (m + 1)/d: a tight cluster
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.lists(_planted, min_size=1, max_size=3),
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=3),
+    st.integers(min_value=1, max_value=9),
+)
+def test_isolation_matches_sympy(planted, cofactor_low, cofactor_lead):
+    """Planted (d*t - m) factors times a random cofactor, checked against sympy.
+
+    Root count and order must match ``Poly.intervals()``, and the exact
+    rational roots must equal ``Poly.ground_roots()``.
+    """
+    poly = UniPoly(cofactor_low + [cofactor_lead])
+    for d, whole, offset, mult, neighbour in planted:
+        m = whole * d + offset
+        poly = poly * UniPoly((-m, d)) ** mult
+        if neighbour:
+            poly = poly * UniPoly((-(m + 1), d))
+    roots = isolate_real_roots(poly)
+
+    t = sympy.Symbol("t")
+    reference = sympy.Poly([int(c) for c in reversed(poly.coeffs)], t)
+    intervals = reference.intervals()
+    assert len(roots) == len(intervals)
+    for root, ((a, b), _) in zip(roots, intervals):
+        assert _fraction(a) <= root and root <= _fraction(b)
+    rational = {_fraction(r) for r in reference.ground_roots()}
+    assert {r.rational_value() for r in roots if r.is_rational} == rational
