@@ -7,6 +7,11 @@ Subcommands mirror the library: ``threshold``/``poly``/``gamma-p``/
 constants.  Every command supports ``--json`` (schema "1") and ``--digits``
 for decimal display precision; all underlying arithmetic stays exact.
 
+Each handler computes its result once and returns ``(fields, lines,
+notes)``: the JSON fields and the text lines of the same values, plus the
+caution notes.  ``main`` adds the envelope, ``schema``/``command``/``notes``
+to the JSON document or one ``note:`` line per note to the text.
+
 Exit codes: 0 success, 1 domain error (unknown family, bad family file,
 out-of-range q), 2 usage error.
 """
@@ -21,7 +26,7 @@ from fractions import Fraction
 from . import hilbert_square as hs
 from . import notes, riemann_roch, threshold
 from .algebraic import AlgebraicReal, isolate_real_roots
-from .exact import UniPoly, format_rational, parse_rational
+from .exact import format_rational, parse_rational
 from .family import HKFamily, PRESET_NAMES, preset
 
 SCHEMA = "1"
@@ -55,28 +60,30 @@ def load_family(selector: str) -> HKFamily:
                 raise ValueError(f"family file {path!r} is not valid JSON: {exc}")
         try:
             return HKFamily.from_json(data)
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ValueError(f"family file {path!r} is missing field {exc}")
     return preset(selector)
 
 
-def _root_json(value: AlgebraicReal | None, digits: int):
-    return None if value is None else value.to_json(digits)
+def _rational_json(value: AlgebraicReal | None) -> str | None:
+    return (
+        format_rational(value.rational_value())
+        if value is not None and value.is_rational
+        else None
+    )
 
 
-def _describe_constant(value: AlgebraicReal | None, poly: UniPoly, digits: int, var: str = "t") -> str:
-    if value is None:
-        return f"C = none ({poly.render(var)} has no real roots; every q > 0 passes)"
-    if value.is_rational:
-        return (
-            f"C = {format_rational(value.rational_value())} exactly "
-            f"(largest root of {poly.render(var)})"
-        )
-    return f"C = {value.decimal(digits)} (largest root of {poly.render(var)})"
+def _value_text(value: AlgebraicReal, doc: dict) -> str:
+    """A rational value as "p/q exactly", any other as the decimal in its ``doc``."""
+    rational = _rational_json(value)
+    return doc["decimal"] if rational is None else f"{rational} exactly"
 
 
-def _family_header(family: HKFamily) -> list[str]:
-    return [f"family: {family.name} (n = {family.n}, dimension {family.dimension})"]
+def _family_part(family: HKFamily) -> tuple[dict, list[str]]:
+    return (
+        {"family": {"name": family.name, "n": family.n}},
+        [f"family: {family.name} (n = {family.n}, dimension {family.dimension})"],
+    )
 
 
 def _threshold_notes(family: HKFamily) -> list[str]:
@@ -86,120 +93,73 @@ def _threshold_notes(family: HKFamily) -> list[str]:
     return out
 
 
-def _cmd_threshold(args) -> tuple[dict, list[str]]:
+def _cmd_threshold(args) -> tuple[dict, list[str], list[str]]:
+    """``threshold`` and ``poly``: the polynomial, and for threshold its root C."""
     family = load_family(args.family)
-    poly, constant = threshold.threshold_result(family)
-    pairings = family.segre_pairings()
-    used_notes = _threshold_notes(family)
-    lines = _family_header(family)
-    lines.append(
-        "segre pairings (d_0 .. d_2n by omega-power): "
-        + ", ".join(format_rational(d) for d in pairings)
-    )
+    fields, lines = _family_part(family)
+    pairings = [format_rational(d) for d in family.segre_pairings()]
+    if args.command == "poly":
+        poly, constant = threshold.build_threshold_poly(family), None
+    else:
+        poly, constant = threshold.threshold_result(family)
+    fields.update(segre_pairings=pairings, polynomial=poly.to_json())
+    lines.append("segre pairings (d_0 .. d_2n by omega-power): " + ", ".join(pairings))
     lines.append(f"p(t) = {poly.render()}")
-    lines.append(_describe_constant(constant, poly, args.digits))
-    lines += [f"note: {n}" for n in used_notes]
-    payload = {
-        "schema": SCHEMA,
-        "command": "threshold",
-        "family": {"name": family.name, "n": family.n},
-        "segre_pairings": [format_rational(d) for d in pairings],
-        "polynomial": poly.to_json(),
-        "constant": _root_json(constant, args.digits),
-        "rational": (
-            format_rational(constant.rational_value())
-            if constant is not None and constant.is_rational
-            else None
-        ),
-        "notes": used_notes,
-    }
-    return payload, lines
+    if args.command == "threshold":
+        if constant is None:
+            fields["constant"] = None
+            lines.append(f"C = none ({poly.render()} has no real roots; every q > 0 passes)")
+        else:
+            fields["constant"] = constant.to_json(args.digits)
+            lines.append(
+                f"C = {_value_text(constant, fields['constant'])} "
+                f"(largest root of {poly.render()})"
+            )
+        fields["rational"] = _rational_json(constant)
+    return fields, lines, _threshold_notes(family)
 
 
-def _cmd_poly(args) -> tuple[dict, list[str]]:
-    family = load_family(args.family)
-    poly = threshold.build_threshold_poly(family)
-    pairings = family.segre_pairings()
-    used_notes = _threshold_notes(family)
-    lines = _family_header(family)
-    lines.append(
-        "segre pairings (d_0 .. d_2n by omega-power): "
-        + ", ".join(format_rational(d) for d in pairings)
-    )
-    lines.append(f"p(t) = {poly.render()}")
-    lines += [f"note: {n}" for n in used_notes]
-    payload = {
-        "schema": SCHEMA,
-        "command": "poly",
-        "family": {"name": family.name, "n": family.n},
-        "segre_pairings": [format_rational(d) for d in pairings],
-        "polynomial": poly.to_json(),
-        "notes": used_notes,
-    }
-    return payload, lines
-
-
-def _cmd_gamma_p(args) -> tuple[dict, list[str]]:
+def _cmd_gamma_p(args) -> tuple[dict, list[str], list[str]]:
     family = load_family(args.family)
     gamma = threshold.gamma_p(family, args.q)
-    used_notes = _threshold_notes(family)
-    lines = _family_header(family)
-    lines.append(f"q(omega) = {format_rational(args.q)}")
-    if gamma.is_rational:
-        lines.append(
-            f"gamma_p = {format_rational(gamma.rational_value())} exactly "
-            f"(root of {gamma.poly.render('s')})"
-        )
-    else:
-        lines.append(
-            f"gamma_p = {gamma.decimal(args.digits)} (root of {gamma.poly.render('s')})"
-        )
-    lines += [f"note: {n}" for n in used_notes]
-    payload = {
-        "schema": SCHEMA,
-        "command": "gamma-p",
-        "family": {"name": family.name, "n": family.n},
-        "q": format_rational(args.q),
-        "gamma_p": gamma.to_json(args.digits),
-        "rational": (
-            format_rational(gamma.rational_value()) if gamma.is_rational else None
-        ),
-        "notes": used_notes,
-    }
-    return payload, lines
+    fields, lines = _family_part(family)
+    fields.update(
+        q=format_rational(args.q),
+        gamma_p=gamma.to_json(args.digits),
+        rational=_rational_json(gamma),
+    )
+    lines.append(f"q(omega) = {fields['q']}")
+    lines.append(
+        f"gamma_p = {_value_text(gamma, fields['gamma_p'])} (root of {gamma.poly.render('s')})"
+    )
+    return fields, lines, _threshold_notes(family)
 
 
-def _cmd_cone_test(args) -> tuple[dict, list[str]]:
+def _cmd_cone_test(args) -> tuple[dict, list[str], list[str]]:
     family = load_family(args.family)
     nef = not args.not_nef
     member = threshold.pseff_cone_member(family, args.a, args.q_delta, nef)
-    used_notes = _threshold_notes(family)
-    lines = _family_header(family)
+    fields, lines = _family_part(family)
+    fields.update(
+        a=format_rational(args.a),
+        q_delta=format_rational(args.q_delta),
+        delta_nef=nef,
+        member=member,
+    )
     lines.append(
-        f"candidate: a = {format_rational(args.a)}, "
-        f"q(delta) = {format_rational(args.q_delta)}, "
+        f"candidate: a = {fields['a']}, q(delta) = {fields['q_delta']}, "
         f"delta nef: {'yes' if nef else 'no'}"
     )
     lines.append(f"pseff-cone member: {'yes' if member else 'no'}")
-    lines += [f"note: {n}" for n in used_notes]
-    payload = {
-        "schema": SCHEMA,
-        "command": "cone-test",
-        "family": {"name": family.name, "n": family.n},
-        "a": format_rational(args.a),
-        "q_delta": format_rational(args.q_delta),
-        "delta_nef": nef,
-        "member": member,
-        "notes": used_notes,
-    }
-    return payload, lines
+    return fields, lines, _threshold_notes(family)
 
 
-def _cmd_square_table(args) -> tuple[dict, list[str]]:
+def _cmd_square_table(args) -> tuple[dict, list[str], list[str]]:
     minimal = hs.minimal_table()
     derived = hs.pushforward_rows()
-    chern = hs.square_chern_table()
-    used_notes = [notes.NOTE_EXACT]
+    table = hs.square_chern_table()
+    chern = {"s2": str(table["s2"])}
+    chern.update((key, format_rational(table[key])) for key in ("s2^2", "c4", "s4"))
     width = max(len(label) for label, _ in minimal + derived)
     lines = ["minimal weight-4 table (a = q(alpha)):"]
     lines += [f"  {label.ljust(width)} = {poly.render('a')}" for label, poly in minimal]
@@ -207,115 +167,76 @@ def _cmd_square_table(args) -> tuple[dict, list[str]]:
     lines += [f"  {label.ljust(width)} = {poly.render('a')}" for label, poly in derived]
     lines.append("characteristic classes of X:")
     lines.append(f"  s2 = {chern['s2']}")
-    lines.append(f"  s2^2 = {format_rational(chern['s2^2'])}")
-    lines.append(f"  c4 = {format_rational(chern['c4'])}")
-    lines.append(f"  s4 = s2^2 - c4 = {format_rational(chern['s4'])}")
-    lines += [f"note: {n}" for n in used_notes]
-    payload = {
-        "schema": SCHEMA,
-        "command": "square table",
+    lines.append(f"  s2^2 = {chern['s2^2']}")
+    lines.append(f"  c4 = {chern['c4']}")
+    lines.append(f"  s4 = s2^2 - c4 = {chern['s4']}")
+    fields = {
         "minimal": {label: poly.to_json() for label, poly in minimal},
         "pushforward": {label: poly.to_json() for label, poly in derived},
-        "chern": {
-            "s2": str(chern["s2"]),
-            "s2^2": format_rational(chern["s2^2"]),
-            "c4": format_rational(chern["c4"]),
-            "s4": format_rational(chern["s4"]),
-        },
-        "notes": used_notes,
+        "chern": chern,
     }
-    return payload, lines
+    return fields, lines, [notes.NOTE_EXACT]
 
 
-def _cmd_square_z(args) -> tuple[dict, list[str]]:
+def _cmd_square_z(args) -> tuple[dict, list[str], list[str]]:
     poly = hs.z_pairing()
-    roots = isolate_real_roots(poly)
-    top = roots[-1]
-    used_notes = [notes.NOTE_EXACT, notes.NOTE_Z_PAIRING]
+    top = isolate_real_roots(poly)[-1]
+    fields = {"polynomial": poly.to_json(), "largest_root": top.to_json(args.digits), "at": None}
     lines = [f"z-pairing(a) = {poly.render('a')}"]
     lines.append(
-        f"largest root: a = {top.decimal(args.digits)} (root of {top.poly.render('a')})"
+        f"largest root: a = {fields['largest_root']['decimal']} "
+        f"(root of {top.poly.render('a')})"
     )
-    value = None
     if args.alpha_sq is not None:
         value = poly(args.alpha_sq)
-        lines.append(
-            f"z-pairing({format_rational(args.alpha_sq)}) = {format_rational(value)}"
-        )
-    lines += [f"note: {n}" for n in used_notes]
-    payload = {
-        "schema": SCHEMA,
-        "command": "square z-pairing",
-        "polynomial": poly.to_json(),
-        "largest_root": top.to_json(args.digits),
-        "at": (
-            None
-            if value is None
-            else {"a": format_rational(args.alpha_sq), "value": format_rational(value)}
-        ),
-        "notes": used_notes,
-    }
-    return payload, lines
+        fields["at"] = {"a": format_rational(args.alpha_sq), "value": format_rational(value)}
+        lines.append(f"z-pairing({fields['at']['a']}) = {fields['at']['value']}")
+    return fields, lines, [notes.NOTE_EXACT, notes.NOTE_Z_PAIRING]
 
 
-def _cmd_square_kahler(args) -> tuple[dict, list[str]]:
+def _cmd_square_kahler(args) -> tuple[dict, list[str], list[str]]:
     labels = ("omega^4", "omega^3*E", "omega^2*sbar", "omega*l")
     polys = hs.kahler_criterion()
     values, positive = hs.kahler_criterion(args.alpha_sq)
-    used_notes = [notes.NOTE_EXACT]
-    lines = [f"test class omega = alpha - delta at a = {format_rational(args.alpha_sq)}:"]
-    for label, poly, value in zip(labels, polys, values):
-        lines.append(f"  {label.ljust(12)} = {poly.render('a').ljust(16)} -> {format_rational(value)}")
-    lines.append(f"all positive: {'yes' if positive else 'no'} (holds exactly when a > 2)")
-    lines += [f"note: {n}" for n in used_notes]
-    payload = {
-        "schema": SCHEMA,
-        "command": "square kahler",
+    fields = {
         "a": format_rational(args.alpha_sq),
         "polynomials": {label: poly.to_json() for label, poly in zip(labels, polys)},
         "values": {label: format_rational(v) for label, v in zip(labels, values)},
         "positive": positive,
-        "notes": used_notes,
     }
-    return payload, lines
+    lines = [f"test class omega = alpha - delta at a = {fields['a']}:"]
+    for label, poly in zip(labels, polys):
+        lines.append(
+            f"  {label.ljust(12)} = {poly.render('a').ljust(16)} -> {fields['values'][label]}"
+        )
+    lines.append(f"all positive: {'yes' if positive else 'no'} (holds exactly when a > 2)")
+    return fields, lines, [notes.NOTE_EXACT]
 
 
-def _cmd_derive(args) -> tuple[dict, list[str]]:
-    trace = riemann_roch.derivation_trace()
-    matches = riemann_roch.rr_match()
-    nieper = riemann_roch.nieper_match()
-    constants = riemann_roch.derive_constants()
-    triple = riemann_roch.cube_chern_numbers()
+def _cmd_derive(args) -> tuple[dict, list[str], list[str]]:
+    record = riemann_roch.derivation()
+    nieper = record.nieper
+    fields = {
+        "constants": {
+            ("1" if m.is_unit else str(m)): format_rational(v)
+            for m, v in record.constants.items()
+        },
+        "equation1": [format_rational(x) for x in record.rr["equation1"]],
+        "equation2": [format_rational(x) for x in nieper["equation2"]],
+        "lambda": format_rational(nieper["lambda"]),
+        "sqrt_todd_c2sq": format_rational(nieper["sqrt_td_c2sq"]),
+        "r6": format_rational(nieper["r6"]),
+        "todd_constant": format_rational(riemann_roch.CUBE_CHI_O),
+        "weight6": dict(zip(("c2^3", "c2*c4", "c6"), map(format_rational, record.weight6))),
+        "trace": list(record.trace),
+    }
     used_notes = [
         notes.NOTE_EXACT,
         notes.NOTE_SQRT_TODD,
         notes.NOTE_CHI_K3,
         notes.NOTE_NIEPER_CONVENTION,
     ]
-    lines = list(trace)
-    lines += [f"note: {n}" for n in used_notes]
-    payload = {
-        "schema": SCHEMA,
-        "command": "derive-k3-3",
-        "constants": {
-            ("1" if m.is_unit else str(m)): format_rational(v)
-            for m, v in constants.items()
-        },
-        "equation1": [format_rational(x) for x in matches["equation1"]],
-        "equation2": [format_rational(x) for x in nieper["equation2"]],
-        "lambda": format_rational(nieper["lambda"]),
-        "sqrt_todd_c2sq": format_rational(nieper["sqrt_td_c2sq"]),
-        "r6": format_rational(nieper["r6"]),
-        "todd_constant": format_rational(riemann_roch.CUBE_CHI_O),
-        "weight6": {
-            "c2^3": format_rational(triple[0]),
-            "c2*c4": format_rational(triple[1]),
-            "c6": format_rational(triple[2]),
-        },
-        "trace": trace,
-        "notes": used_notes,
-    }
-    return payload, lines
+    return fields, list(record.trace), used_notes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, family_opt],
         help="threshold polynomial only",
     )
-    p.set_defaults(handler=_cmd_poly)
+    p.set_defaults(handler=_cmd_threshold)
 
     p = sub.add_parser(
         "gamma-p",
@@ -423,14 +344,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, lines = args.handler(args)
+        fields, lines, used_notes = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(payload, indent=2))
+        command = args.command
+        if command == "square":
+            command += " " + args.square_command
+        doc = {"schema": SCHEMA, "command": command, **fields, "notes": used_notes}
+        print(json.dumps(doc, indent=2))
     else:
-        print("\n".join(lines))
+        print("\n".join(lines + [f"note: {n}" for n in used_notes]))
     return 0
 
 

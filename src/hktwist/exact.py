@@ -32,6 +32,17 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
+def parse_integer(value, what: str) -> int:
+    """An integer from a JSON number or string; a fraction, an infinity or a
+    boolean is refused rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be an integer, not {value!r}") from None
+
+
 def format_rational(value: RationalLike) -> str:
     """Canonical "p/q" (or "p" for integers) rendering."""
     value = Fraction(value)

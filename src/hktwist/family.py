@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .exact import format_rational, parse_rational
+from .exact import format_rational, parse_integer, parse_rational
 from .series import ChernMonomial, GradedSeries, UNIT
 
 PRESET_NAMES = ("K3", "K3_2", "K3_3")
@@ -99,15 +99,23 @@ class HKFamily:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "HKFamily":
+        """Read a table; a missing field raises KeyError, anything else
+        malformed ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a family must be a JSON object, not {type(data).__name__}")
         name = str(data["name"])
-        n = int(data["n"])
+        n = parse_integer(data["n"], "n")
+        if not isinstance(data["pairings"], list):
+            raise ValueError("pairings must be a JSON list")
         pairings: dict[ChernMonomial, Fraction] = {}
         for entry in data["pairings"]:
+            if not isinstance(entry, dict):
+                raise ValueError(f"each pairing must be a JSON object, not {entry!r}")
             monomial = ChernMonomial.from_json(entry["monomial"])
             if monomial in pairings:
                 raise ValueError(f"duplicate pairing for {monomial}")
             expected_power = 2 * n - monomial.weight
-            declared = int(entry["omega_power"])
+            declared = parse_integer(entry["omega_power"], f"the omega power of {monomial}")
             if declared != expected_power:
                 raise ValueError(
                     f"{monomial} must pair against omega^{expected_power}, "
@@ -122,32 +130,29 @@ def _mono(factors: Mapping[int, int]) -> ChernMonomial:
 
 
 def _verify_cube_table(family: HKFamily) -> HKFamily:
-    """Startup self-check on the Hilbert-cube weight-6 entries.
+    """Self-check on the Hilbert-cube weight-6 entries, run on every load.
 
     The c2^3 and c2*c4 pairings are not copied from anywhere: they are
     pinned by the Euler number c6 = 3200, the Todd-constant identity
     chi(O) = 4, and the constant term -10560 of the degree-6 Segre
-    expansion.  Re-derive them on first use and refuse a table that
-    disagrees (cached so the series expansion runs once).
+    expansion.  Compare them with the re-derived triple (a cached solve)
+    and refuse a table that disagrees.
     """
-    if not _verify_cube_table.checked:
-        from .riemann_roch import cube_chern_numbers
+    # imported here: riemann_roch imports this module, and a plain
+    # ``import hktwist`` should not pay for the Todd-series module
+    from .riemann_roch import cube_chern_numbers
 
-        derived = cube_chern_numbers()
-        stored = (
-            family.pair(_mono({2: 3})),
-            family.pair(_mono({2: 1, 4: 1})),
-            family.pair(_mono({6: 1})),
+    derived = cube_chern_numbers()
+    stored = (
+        family.pair(_mono({2: 3})),
+        family.pair(_mono({2: 1, 4: 1})),
+        family.pair(_mono({6: 1})),
+    )
+    if derived != stored:
+        raise AssertionError(
+            f"cube table self-check failed: derived {derived}, stored {stored}"
         )
-        if derived != stored:
-            raise AssertionError(
-                f"cube table self-check failed: derived {derived}, stored {stored}"
-            )
-        _verify_cube_table.checked = True
     return family
-
-
-_verify_cube_table.checked = False
 
 
 def preset(name: str) -> HKFamily:

@@ -9,16 +9,22 @@ from the square-root-of-Todd characteristic identity; solve the resulting
 the weight-6 Chern numbers from the Euler number, the Todd-constant
 identity, and the cubic's constant term.
 
-Everything returns exact rationals; the derivation trace is reproducible
-term by term.
+Everything returns exact rationals.  ``derivation()`` runs the chain once
+per process and keeps every intermediate value in one record, which the
+constants, the term-by-term trace and the CLI report all read; the Todd
+series and the weight-6 solve are cached too, so the K3_3 preset can re-run
+its self-check on every load.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial, isqrt
+from typing import NamedTuple
 
 from .exact import UniPoly, format_rational
+from .family import preset
 from .series import ChernMonomial, GradedSeries, UNIT
 
 TRUNCATION = 6
@@ -38,40 +44,18 @@ CUBE_CHI_O = Fraction(4)
 CUBE_SEGRE6 = Fraction(-10560)
 
 
-# -- one-variable series scaffolding for the Todd expansion ---------------
-
-
-def _log_one_plus(series: list[Fraction], order: int) -> list[Fraction]:
-    """log(1 + u) for a series u with zero constant term, through x^order."""
-    result = [Fraction(0)] * (order + 1)
-    power = [Fraction(1)] + [Fraction(0)] * order  # u^0
-    for k in range(1, order + 1):
-        power = _mul_series(power, series, order)
-        sign = Fraction((-1) ** (k - 1), k)
-        for i, c in enumerate(power):
-            result[i] += sign * c
-    return result
-
-
-def _mul_series(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ca * cb
-    return out
-
-
 def _log_todd_coeffs(order: int) -> list[Fraction]:
-    """Coefficients of log(x / (1 - e^{-x})) through x^order."""
-    # (1 - e^{-x})/x = sum_{j>=0} (-x)^j / (j+1)!
-    base = [Fraction((-1) ** j, factorial(j + 1)) for j in range(order + 1)]
-    u = [c if i else Fraction(0) for i, c in enumerate(base)]  # base - 1
-    log_base = _log_one_plus(u, order)
-    return [-c for c in log_base]
+    """Coefficients of log(x / (1 - e^{-x})) through x^order.
+
+    This is -log f for f = (1 - e^{-x})/x = sum_j (-x)^j / (j+1)!, and
+    L = log f follows from f * L' = f' coefficient by coefficient (f_0 = 1):
+    n L_n = n f_n - sum_{0<k<n} k L_k f_{n-k}.
+    """
+    f = [Fraction((-1) ** j, factorial(j + 1)) for j in range(order + 1)]
+    log_f = [Fraction(0)] * (order + 1)
+    for n in range(1, order + 1):
+        log_f[n] = f[n] - sum((k * log_f[k] * f[n - k] for k in range(1, n)), Fraction(0)) / n
+    return [-c for c in log_f]
 
 
 def _power_sums() -> dict[int, GradedSeries]:
@@ -104,8 +88,9 @@ def _series_exp(a: GradedSeries) -> GradedSeries:
         k += 1
 
 
+@cache
 def todd6() -> GradedSeries:
-    """The Todd series through weight 6 in the symbols c2, c4, c6."""
+    """The Todd series through weight 6 in the symbols c2, c4, c6 (computed once)."""
     logq = _log_todd_coeffs(TRUNCATION)
     psums = _power_sums()
     log_td = GradedSeries(TRUNCATION)
@@ -119,40 +104,19 @@ def sqrt_todd6() -> GradedSeries:
 
 
 # -- the q-expansion bookkeeping -------------------------------------------
+# A polynomial in the formal variable q is the tuple of its GradedSeries
+# coefficients, the q^k coefficient at index k.
 
 
-class QPolynomial:
-    """Polynomial in the formal variable q with GradedSeries coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QPolynomial is immutable")
-
-    def coeff(self, power: int) -> GradedSeries:
-        return self.coeffs[power]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def lines(self, var: str = "q") -> list[str]:
-        return [f"{var}^{k}: {series}" for k, series in enumerate(self.coeffs)]
-
-
-def rr_lhs() -> QPolynomial:
+def rr_lhs() -> tuple[GradedSeries, ...]:
     """chi(L) expanded by Riemann-Roch: the q^k coefficient is the
     weight-(6-2k) Todd component times 1/(2k)! (from the e^L factor),
     awaiting pairing against omega-powers."""
     td = todd6()
-    coeffs = []
-    for k in range(0, 4):
-        component = GradedSeries(TRUNCATION, td.component(6 - 2 * k))
-        coeffs.append(component * Fraction(1, factorial(2 * k)))
-    return QPolynomial(coeffs)
+    return tuple(
+        GradedSeries(TRUNCATION, td.component(6 - 2 * k)) * Fraction(1, factorial(2 * k))
+        for k in range(4)
+    )
 
 
 def chi_cube_poly() -> UniPoly:
@@ -166,12 +130,10 @@ def chi_cube_poly() -> UniPoly:
     return cubic * Fraction(1, 6)
 
 
-def rr_rhs() -> QPolynomial:
+def rr_rhs() -> tuple[GradedSeries, ...]:
     """The same chi(L) as scalar coefficients: (1/48)q^3 + (3/8)q^2 + (13/6)q + 4."""
     cubic = chi_cube_poly()
-    return QPolynomial(
-        GradedSeries(TRUNCATION, {UNIT: cubic.coeff(k)}) for k in range(4)
-    )
+    return tuple(GradedSeries(TRUNCATION, {UNIT: cubic.coeff(k)}) for k in range(4))
 
 
 def rr_match() -> dict:
@@ -180,21 +142,22 @@ def rr_match() -> dict:
     The q^3 and q^2 rows determine the top pairing 15 and the c2 pairing
     108 outright; the q^1 row leaves one linear equation in the two
     weight-4 unknowns A = (c2^2-pairing) and B = (c4-pairing); the q^0 row
-    is the Todd-constant identity checked in derive_constants.
+    is the Todd-constant identity checked in cube_chern_numbers.  Both
+    expansions are returned too, for the trace.
     """
     lhs = rr_lhs()
     rhs = rr_rhs()
-    top = rhs.coeff(3).constant / lhs.coeff(3).coeff(UNIT)
-    c2_pairing = rhs.coeff(2).constant / lhs.coeff(2).coeff(_C2)
-    a_factor = lhs.coeff(1).coeff(_C2SQ)
-    b_factor = lhs.coeff(1).coeff(_C4)
-    rhs_q1 = rhs.coeff(1).constant
+    top = rhs[3].constant / lhs[3].coeff(UNIT)
+    c2_pairing = rhs[2].constant / lhs[2].coeff(_C2)
+    a_factor = lhs[1].coeff(_C2SQ)
+    b_factor = lhs[1].coeff(_C4)
+    rhs_q1 = rhs[1].constant
     # normalize so the B coefficient is -1
     scale = -1 / b_factor
     equation1 = (a_factor * scale, Fraction(-1), rhs_q1 * scale)
     if top != 15 or c2_pairing != 108:
         raise AssertionError(f"unexpected match: top={top}, c2={c2_pairing}")
-    return {"top": top, "c2": c2_pairing, "equation1": equation1}
+    return {"top": top, "c2": c2_pairing, "equation1": equation1, "lhs": lhs, "rhs": rhs}
 
 
 def _exact_root(value: Fraction, k: int) -> Fraction:
@@ -227,12 +190,14 @@ def _integer_root(m: int, k: int) -> int:
         x = y
 
 
+@cache
 def cube_chern_numbers() -> tuple[Fraction, Fraction, Fraction]:
-    """(c2^3, c2*c4, c6) for the Hilbert cube, from three facts.
+    """(c2^3, c2*c4, c6) for the Hilbert cube, from three facts (computed once).
 
     c6 = 3200 is the Euler number; the weight-6 Todd component integrates
     to chi(O) = 4; and -c2^3 + 2 c2 c4 - c6 equals the threshold cubic's
-    constant term -10560.  The first two unknowns follow by a 2x2 solve.
+    constant term -10560.  The first two unknowns follow by a 2x2 solve,
+    and the solved triple must integrate the Todd component back to 4.
     """
     td = todd6()
     ka = td.coeff(_C2CUBE)
@@ -244,6 +209,9 @@ def cube_chern_numbers() -> tuple[Fraction, Fraction, Fraction]:
     det = ka * 2 - kb * (-1)
     a = (r1 * 2 - kb * r2) / det
     b = (ka * r2 - r1 * (-1)) / det
+    todd_constant = ka * a + kb * b + kc * CUBE_EULER
+    if todd_constant != CUBE_CHI_O:
+        raise AssertionError(f"Todd constant check failed: {todd_constant}")
     return a, b, CUBE_EULER
 
 
@@ -291,11 +259,24 @@ def nieper_match() -> dict:
     }
 
 
-def derive_constants() -> dict:
-    """Solve the two linear equations; return all four pairing constants.
+class Derivation(NamedTuple):
+    """The whole Hilbert-cube derivation: what derive_constants,
+    derivation_trace and the CLI report all read."""
 
-    Cross-checks against the built-in Hilbert-cube family and the
-    Todd-constant identity before returning.
+    rr: dict  # rr_match()
+    nieper: dict  # nieper_match()
+    weight6: tuple[Fraction, Fraction, Fraction]  # cube_chern_numbers()
+    constants: dict[ChernMonomial, Fraction]  # top, c2, c2^2, c4 pairings
+    trace: tuple[str, ...]
+
+
+@cache
+def derivation() -> Derivation:
+    """Solve the two linear equations, cross-check, and record every step.
+
+    The solved pair must satisfy equation 2 when read back, and all four
+    constants must agree with the built-in Hilbert-cube family.  Computed
+    once per process.
     """
     matches = rr_match()
     nieper = nieper_match()
@@ -306,79 +287,49 @@ def derive_constants() -> dict:
         raise AssertionError("degenerate linear system")
     big_a = (r1 * b2 - r2 * b1) / det
     big_b = (a1 * r2 - a2 * r1) / det
-
-    triple = cube_chern_numbers()
-    td = todd6()
-    todd_constant = (
-        td.coeff(_C2CUBE) * triple[0]
-        + td.coeff(_C2C4) * triple[1]
-        + td.coeff(_C6) * triple[2]
-    )
-    if todd_constant != CUBE_CHI_O:
-        raise AssertionError(f"Todd constant check failed: {todd_constant}")
     # the q^1 characteristic identity, re-read with the solved values
-    if nieper["equation2"][0] * big_a - big_b != nieper["equation2"][2]:
+    if a2 * big_a - big_b != r2:
         raise AssertionError("equation 2 does not hold for the solved pair")
-
-    result = {
-        UNIT: matches["top"],
-        _C2: matches["c2"],
-        _C2SQ: big_a,
-        _C4: big_b,
-    }
-
-    from .family import preset
+    constants = {UNIT: matches["top"], _C2: matches["c2"], _C2SQ: big_a, _C4: big_b}
 
     cube = preset("K3_3")
-    for monomial, value in result.items():
+    for monomial, value in constants.items():
         if cube.pair(monomial) != value:
             raise AssertionError(
                 f"derived {monomial} = {value} disagrees with the stored family"
             )
-    return result
+
+    triple = cube_chern_numbers()
+    fmt = format_rational
+
+    def equation(eq) -> str:  # both equations are normalized to B coefficient -1
+        return f"{fmt(eq[0])}*A - B = {fmt(eq[2])}"
+
+    trace = (
+        "Riemann-Roch expansion (coefficients await pairing):",
+        *(f"  q^{k}: {series}" for k, series in enumerate(matches["lhs"])),
+        "Euler-characteristic cubic:",
+        *(f"  q^{k}: {series}" for k, series in enumerate(matches["rhs"])),
+        f"q^3 match: top pairing = {fmt(matches['top'])}",
+        f"q^2 match: c2 pairing = {fmt(matches['c2'])}",
+        f"q^1 match: equation 1: {equation(matches['equation1'])}",
+        f"sqrt-Todd weight-4 coefficient: {fmt(nieper['sqrt_td_c2sq'])}*c2^2 term",
+        "weight-6 Chern numbers (c2^3, c2*c4, c6) = "
+        f"({fmt(triple[0])}, {fmt(triple[1])}, {fmt(triple[2])})",
+        f"sqrt-Todd integral r6 = {fmt(nieper['r6'])}",
+        f"lambda coefficient = {fmt(nieper['lambda'])}",
+        f"q^1 match: equation 2: {equation(nieper['equation2'])}",
+        "solved pairings: "
+        + ", ".join(f"{'top' if m.is_unit else m} = {fmt(v)}" for m, v in constants.items()),
+    )
+    return Derivation(matches, nieper, triple, constants, trace)
+
+
+def derive_constants() -> dict[ChernMonomial, Fraction]:
+    """All four pairing constants (top, c2, c2^2, c4), cross-checked."""
+    return dict(derivation().constants)
 
 
 def derivation_trace() -> list[str]:
     """Human-readable steps of the whole derivation, for the CLI."""
-    lhs = rr_lhs()
-    rhs = rr_rhs()
-    matches = rr_match()
-    nieper = nieper_match()
-    constants = derive_constants()
-    triple = cube_chern_numbers()
-
-    def eq_str(eq):
-        a, b, r = eq
-        return (
-            f"{format_rational(a)}*A - B = {format_rational(r)}"
-            if b == -1
-            else f"{format_rational(a)}*A + {format_rational(b)}*B = {format_rational(r)}"
-        )
-
-    lines = ["Riemann-Roch expansion (coefficients await pairing):"]
-    lines += ["  " + s for s in lhs.lines()]
-    lines.append("Euler-characteristic cubic:")
-    lines += ["  " + s for s in rhs.lines()]
-    lines.append(f"q^3 match: top pairing = {format_rational(matches['top'])}")
-    lines.append(f"q^2 match: c2 pairing = {format_rational(matches['c2'])}")
-    lines.append(f"q^1 match: equation 1: {eq_str(matches['equation1'])}")
-    lines.append(
-        "sqrt-Todd weight-4 coefficient: "
-        f"{format_rational(nieper['sqrt_td_c2sq'])}*c2^2 term"
-    )
-    lines.append(
-        f"weight-6 Chern numbers (c2^3, c2*c4, c6) = "
-        f"({format_rational(triple[0])}, {format_rational(triple[1])}, "
-        f"{format_rational(triple[2])})"
-    )
-    lines.append(f"sqrt-Todd integral r6 = {format_rational(nieper['r6'])}")
-    lines.append(f"lambda coefficient = {format_rational(nieper['lambda'])}")
-    lines.append(f"q^1 match: equation 2: {eq_str(nieper['equation2'])}")
-    lines.append(
-        "solved pairings: "
-        + ", ".join(
-            f"{m if not m.is_unit else 'top'} = {format_rational(v)}"
-            for m, v in constants.items()
-        )
-    )
-    return lines
+    return list(derivation().trace)

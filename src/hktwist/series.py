@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .exact import format_rational, parse_rational
+from .exact import format_rational, parse_integer, parse_rational
 
 
 class ChernMonomial:
@@ -83,7 +83,13 @@ class ChernMonomial:
 
     @classmethod
     def from_json(cls, data: Mapping[str, int]) -> "ChernMonomial":
-        return cls({int(index): int(exponent) for index, exponent in data.items()})
+        if not isinstance(data, dict):
+            raise ValueError(f"a monomial must be a JSON object, not {data!r}")
+        return cls({
+            parse_integer(index, "a Chern index"):
+                parse_integer(exponent, f"the exponent of c{index}")
+            for index, exponent in data.items()
+        })
 
 
 UNIT = ChernMonomial()

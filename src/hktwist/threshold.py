@@ -31,11 +31,11 @@ def build_threshold_poly(family: HKFamily) -> UniPoly:
 
 def constant_C(family: HKFamily) -> AlgebraicReal | None:
     """Largest real root of the threshold polynomial, or None if there is none."""
-    roots = isolate_real_roots(build_threshold_poly(family))
-    return roots[-1] if roots else None
+    return threshold_result(family)[1]
 
 
 def threshold_result(family: HKFamily) -> tuple[UniPoly, AlgebraicReal | None]:
+    """The threshold polynomial and its largest real root C (None if it has none)."""
     poly = build_threshold_poly(family)
     roots = isolate_real_roots(poly)
     return poly, (roots[-1] if roots else None)

@@ -173,6 +173,37 @@ def test_family_file_roundtrip(tmp_path, capsys):
     assert "C = 5.04939" in out
 
 
+def k3_document(**changes):
+    """A valid n = 1 family file; a key of the document or of its c2 entry replaced."""
+    doc = {
+        "name": "k3-like",
+        "n": 1,
+        "pairings": [
+            {"monomial": {}, "omega_power": 2, "constant": "1"},
+            {"monomial": {"2": 1}, "omega_power": 0, "constant": "24"},
+        ],
+    }
+    for key, value in changes.items():
+        if key in doc:
+            doc[key] = value
+        else:
+            doc["pairings"][1][key] = value
+    return doc
+
+
+# (file text, what the one-line error must say)
+MALFORMED_FAMILY_FILES = [
+    (json.dumps(k3_document(monomial=[])), "monomial must be a JSON object"),
+    ('{"name": "x", "n": 1e400, "pairings": []}', "n must be an integer, not inf"),
+    (json.dumps(k3_document(n=1.9)), "n must be an integer, not 1.9"),
+    (json.dumps(k3_document(omega_power=0.5)), "omega power of c2 must be an integer"),
+    (json.dumps(k3_document(monomial={"2": 1.7})), "exponent of c2 must be an integer"),
+    ("[1, 2]", "family must be a JSON object, not list"),
+    (json.dumps(k3_document(pairings={})), "pairings must be a JSON list"),
+    (json.dumps(k3_document(pairings=[1])), "each pairing must be a JSON object"),
+]
+
+
 def test_family_file_errors(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     code, _, err = run(capsys, "threshold", "--family", f"@{missing}")
@@ -185,6 +216,13 @@ def test_family_file_errors(tmp_path, capsys):
     incomplete.write_text(json.dumps({"name": "x", "n": 1}))
     code, _, err = run(capsys, "threshold", "--family", f"@{incomplete}")
     assert code == 1
+    malformed = tmp_path / "malformed.json"
+    for text, message in MALFORMED_FAMILY_FILES:
+        malformed.write_text(text)
+        code, out, err = run(capsys, "threshold", "--family", f"@{malformed}")
+        assert code == 1 and out == "", text
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err and "missing field" not in err, err
 
 
 def test_json_output_is_deterministic(capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hktwist.family import HKFamily, preset
+from hktwist.family import HKFamily, _verify_cube_table, preset
 from hktwist.series import ChernMonomial, UNIT
 
 
@@ -72,3 +72,11 @@ def test_cube_preset_passes_startup_self_check():
     assert fam.pair(ChernMonomial({2: 3})) == 36800
     assert fam.pair(ChernMonomial({2: 1, 4: 1})) == 14720
     assert fam.pair(ChernMonomial({6: 1})) == 3200
+
+
+def test_cube_self_check_runs_on_every_load():
+    cube = preset("K3_3")  # a load has already run the check once
+    pairings = dict(cube.pairings)
+    pairings[ChernMonomial({2: 1, 4: 1})] += 1
+    with pytest.raises(AssertionError, match="self-check"):
+        _verify_cube_table(HKFamily("K3_3", 3, pairings))

@@ -60,12 +60,12 @@ def test_chi_cubic():
 
 def test_rr_expansion_factors():
     lhs = rr_lhs()
-    assert lhs.coeff(3).coeff(UNIT) == Fraction(1, 720)
-    assert lhs.coeff(2).coeff(C2) == Fraction(1, 288)
-    assert lhs.coeff(1).coeff(C2SQ) == Fraction(1, 480)
-    assert lhs.coeff(1).coeff(C4) == Fraction(-1, 1440)
+    assert lhs[3].coeff(UNIT) == Fraction(1, 720)
+    assert lhs[2].coeff(C2) == Fraction(1, 288)
+    assert lhs[1].coeff(C2SQ) == Fraction(1, 480)
+    assert lhs[1].coeff(C4) == Fraction(-1, 1440)
     rhs = rr_rhs()
-    assert rhs.coeff(0).constant == 4
+    assert rhs[0].constant == 4
 
 
 def test_rr_match():
