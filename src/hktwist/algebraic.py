@@ -13,6 +13,20 @@ coefficients, so every rational root is m/L with L = |leading coefficient|.
 A copy of the isolating interval is bisected until it is narrower than 1/L;
 it then holds at most one such candidate, and a single evaluation decides.
 The test is exact for every denominator.
+
+Every refinement loop (``refine_to``, ``decimal``, ``to_json``,
+``compare``, ``square`` and the snapping above) steps one integer bisection
+kernel, :class:`_Bisection`.  It holds the polynomial with its denominators
+cleared, the endpoints as integers a < b over one positive denominator, and
+the sign of p at a, which never changes.  A step doubles a, b and the
+denominator, decides the sign of p at the midpoint a + b by one homogeneous
+integer Horner pass, and keeps the half whose ends differ in sign.  The
+intervals are exactly those of halving on ``Fraction`` endpoints, but no
+``Fraction`` and no :class:`AlgebraicReal` is built per step; an
+``AlgebraicReal`` is built, through the validating constructor, only for a
+returned value.  Comparison with a rational needs no refinement at all: the
+root lies left of a rational x inside its interval exactly when p(x) and
+p(lo) differ in sign.
 """
 
 from __future__ import annotations
@@ -167,24 +181,17 @@ class AlgebraicReal:
 
     # -- refinement -------------------------------------------------------
 
-    def _bisect(self) -> "AlgebraicReal":
-        mid = (self.lo + self.hi) / 2
-        value = self.poly(mid)
-        if value == 0:
-            return AlgebraicReal(self.poly, mid, mid)
-        if self.poly(self.lo) * value < 0:
-            return AlgebraicReal(self.poly, self.lo, mid)
-        return AlgebraicReal(self.poly, mid, self.hi)
-
     def refine_to(self, width: Fraction) -> "AlgebraicReal":
         """Shrink the isolating interval to at most ``width``."""
         width = Fraction(width)
         if width <= 0:
             raise ValueError("width must be positive")
-        current = self
-        while current.hi - current.lo > width:
-            current = current._bisect()
-        return current
+        if self.hi - self.lo <= width:
+            return self
+        run = _Bisection(self.poly, self.lo, self.hi)
+        while run.wider_than(width):
+            run.step()
+        return run.result()
 
     # -- rendering ----------------------------------------------------------
 
@@ -192,63 +199,69 @@ class AlgebraicReal:
         """Decimal string, correct to ``sig_digits`` significant digits.
 
         Refines until both interval endpoints round to the same string, so
-        the result is certified rather than estimated.
+        the result is certified rather than estimated.  Steps on which the
+        endpoints cannot round alike skip the rendering (see
+        ``_decimal_refined``), so the certifying interval is the first
+        bisection interval whose endpoints agree, as if every step were
+        rendered.
         """
         return self._decimal_refined(sig_digits)[0]
 
-    def _decimal_refined(self, sig_digits: int) -> tuple[str, "AlgebraicReal"]:
-        """The certified decimal plus the refinement that certified it."""
-        if self.is_rational:
-            return decimal_str(self.lo, sig_digits), self
-        current = self
+    def _decimal_refined(self, sig_digits: int) -> tuple[str, Fraction, Fraction]:
+        """The certified decimal plus the interval that certified it.
+
+        A rational v with E(v) = floor(log10 |v|) renders as D, its rounding
+        to ``sig_digits`` significant digits (an integer renders exactly), so
+        |v - D| <= 10^(E(v) + 1 - sig_digits) / 2.  If lo and hi render to the
+        same string they round to the same D, and with M = max(|lo|, |hi|),
+        E(lo), E(hi) <= floor(log10 M) and 10^floor(log10 M) <= M:
+
+            hi - lo <= 10^(floor(log10 M) + 1 - sig_digits) <= M * 10^(1 - sig_digits).
+
+        So while (hi - lo) * 10^(sig_digits - 1) > M the renderings must
+        differ and are skipped; every skipped check would have failed.
+        """
+        if self.is_rational or sig_digits < 1:  # decimal_str refuses sig_digits < 1
+            return decimal_str(self.lo, sig_digits), self.lo, self.hi
+        run = _Bisection(self.poly, self.lo, self.hi)
+        # Over the common denominator the width numerator b - a never changes.
+        spread = (run.b - run.a) * 10 ** (sig_digits - 1)
         while True:
-            a = decimal_str(current.lo, sig_digits)
-            b = decimal_str(current.hi, sig_digits)
-            if a == b:
-                return a, current
-            current = current._bisect()
-            if current.is_rational:
-                return decimal_str(current.lo, sig_digits), current
+            if spread <= max(-run.a, run.b):
+                lo, hi = run.lo, run.hi
+                rendered = decimal_str(lo, sig_digits)
+                if rendered == decimal_str(hi, sig_digits):
+                    return rendered, lo, hi
+            if run.step():
+                point = run.lo
+                return decimal_str(point, sig_digits), point, point
 
     def to_json(self, sig_digits: int = DEFAULT_SIG_DIGITS) -> dict:
-        rendered, refined = self._decimal_refined(sig_digits)
+        rendered, lo, hi = self._decimal_refined(sig_digits)
         return {
             "poly": self.poly.to_json(),
-            "interval": [format_rational(refined.lo), format_rational(refined.hi)],
+            "interval": [format_rational(lo), format_rational(hi)],
             "decimal": rendered,
         }
 
     # -- exact comparisons ---------------------------------------------------
 
     def sign(self) -> int:
-        if self.is_rational:
-            v = self.lo
-            return (v > 0) - (v < 0)
-        current = self
-        while current.lo < 0 < current.hi:
-            if current.poly(0) == 0:
-                return 0
-            current = current._bisect()
-            if current.is_rational:
-                v = current.lo
-                return (v > 0) - (v < 0)
-        return 1 if current.lo >= 0 else -1
+        return self._compare_rational(Fraction(0))
 
     def _compare_rational(self, other: Fraction) -> int:
         if self.is_rational:
             v = self.lo
             return (v > other) - (v < other)
-        if self.poly(other) == 0 and self.lo < other < self.hi:
-            return 0
-        current = self
-        while current.lo < other < current.hi:
-            current = current._bisect()
-            if current.is_rational:
-                v = current.lo
-                return (v > other) - (v < other)
-        if current.hi <= other:
+        if other <= self.lo:
+            return 1
+        if other >= self.hi:
             return -1
-        return 1
+        # The root is the only one in (lo, hi), and p changes sign across it.
+        value = self.poly(other)
+        if value == 0:
+            return 0
+        return -1 if (value > 0) != (self.poly(self.lo) > 0) else 1
 
     def compare(self, other) -> int:
         """-1, 0, or 1; exact for rationals and other AlgebraicReals."""
@@ -263,12 +276,14 @@ class AlgebraicReal:
         # Equal values must be a shared root of gcd(p, q); detect it once,
         # otherwise the intervals separate after finitely many bisections.
         common = self.poly.gcd(other.poly)
-        a, b = self, other
+        a = _Bisection(self.poly, self.lo, self.hi)
+        b = _Bisection(other.poly, other.lo, other.hi)
         while True:
-            lo = max(a.lo, b.lo)
-            hi = min(a.hi, b.hi)
+            a_lo, a_hi, b_lo, b_hi = a.lo, a.hi, b.lo, b.hi
+            lo = max(a_lo, b_lo)
+            hi = min(a_hi, b_hi)
             if lo >= hi:
-                return -1 if a.hi <= b.lo else 1
+                return -1 if a_hi <= b_lo else 1
             if common.degree >= 1:
                 chain = sturm_chain(common.squarefree_part())
                 if count_roots(chain, lo, hi) == 1:
@@ -276,12 +291,10 @@ class AlgebraicReal:
                     # root is the unique root of either poly there, so a == b.
                     return 0
                 common = UniPoly.zero()  # overlap holds no shared root; drop the test
-            a = a._bisect()
-            b = b._bisect()
-            if a.is_rational:
-                return -b._compare_rational(a.lo)
-            if b.is_rational:
-                return a._compare_rational(b.lo)
+            if a.step():
+                return -b.result()._compare_rational(a.lo)
+            if b.step():
+                return a.result()._compare_rational(b.lo)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, AlgebraicReal)):
@@ -324,13 +337,12 @@ class AlgebraicReal:
         even = UniPoly(self.poly.coeffs[0::2])
         odd = UniPoly(self.poly.coeffs[1::2])
         target = (even * even - UniPoly.variable() * odd * odd).squarefree_part().primitive()
-        current = self
-        while current.lo < 0 < current.hi:
-            if current.poly(0) == 0:
-                return AlgebraicReal.from_rational(0)
-            current = current._bisect()
-            if current.is_rational:
-                return AlgebraicReal.from_rational(current.lo**2)
+        run = _Bisection(self.poly, self.lo, self.hi)
+        if run.a < 0 < run.b and self.poly(0) == 0:
+            return AlgebraicReal.from_rational(0)
+        while run.a < 0 < run.b:
+            if run.step():
+                return AlgebraicReal.from_rational(run.lo**2)
         # Squaring can fold other roots of p near the square of this one, so
         # a candidate interval may capture several roots of ``target``.
         # Shrink until the candidate meets exactly one isolated root: the
@@ -338,19 +350,13 @@ class AlgebraicReal:
         # surviving root is it.
         folded = isolate_real_roots(target)
         while True:
-            lo2, hi2 = current._square_interval()
+            lo, hi = run.lo, run.hi
+            lo2, hi2 = (lo * lo, hi * hi) if lo >= 0 else (hi * hi, lo * lo)
             matches = [r for r in folded if _overlaps_open(r, lo2, hi2)]
             if len(matches) == 1:
                 return matches[0]
-            current = current._bisect()
-            if current.is_rational:
-                return AlgebraicReal.from_rational(current.lo**2)
-
-    def _square_interval(self) -> tuple[Fraction, Fraction]:
-        a, b = self.lo, self.hi
-        if a >= 0:
-            return a * a, b * b
-        return b * b, a * a
+            if run.step():
+                return AlgebraicReal.from_rational(run.lo**2)
 
     def scale(self, factor) -> "AlgebraicReal":
         """The exact product factor * self, for a nonzero rational factor."""
@@ -367,6 +373,71 @@ class AlgebraicReal:
         if factor > 0:
             return AlgebraicReal(scaled, self.lo * factor, self.hi * factor)
         return AlgebraicReal(scaled, self.hi * factor, self.lo * factor)
+
+
+class _Bisection:
+    """Bisection of an isolating interval on integer endpoints.
+
+    The interval is [a, b] / (s * 2^k), with a and b integers.  ``terms[i]``
+    is c_i * s^(d - i) for the integer coefficients c_i of a positive
+    multiple of the polynomial, so p(x / (s * 2^k)) has the sign of
+
+        sum_i terms[i] * x^i * 2^(k * (d - i)),
+
+    which Horner's rule evaluates with integer products and shifts.  After a
+    step that hits the root, a == b.
+    """
+
+    __slots__ = ("poly", "terms", "a", "b", "s", "k", "lo_sign")
+
+    def __init__(self, poly: UniPoly, lo: Fraction, hi: Fraction):
+        self.poly = poly
+        self.s = math.lcm(lo.denominator, hi.denominator)
+        self.a = lo.numerator * (self.s // lo.denominator)
+        self.b = hi.numerator * (self.s // hi.denominator)
+        self.k = 0
+        clear = math.lcm(*(c.denominator for c in poly.coeffs))
+        d = poly.degree
+        self.terms = [int(c * clear) * self.s ** (d - i) for i, c in enumerate(poly.coeffs)]
+        self.lo_sign = self._sign_at(self.a)
+
+    def _sign_at(self, x: int) -> int:
+        """Sign of p(x / (s * 2^k))."""
+        terms, k = self.terms, self.k
+        d = len(terms) - 1
+        acc = terms[d]
+        for i in range(d - 1, -1, -1):
+            acc = acc * x + (terms[i] << (k * (d - i)))
+        return (acc > 0) - (acc < 0)
+
+    def step(self) -> bool:
+        """Halve the interval; True if the midpoint is the root."""
+        mid = self.a + self.b
+        self.a <<= 1
+        self.b <<= 1
+        self.k += 1
+        sign = self._sign_at(mid)
+        if sign == 0:
+            self.a = self.b = mid
+        elif sign == self.lo_sign:
+            self.a = mid
+        else:
+            self.b = mid
+        return sign == 0
+
+    def wider_than(self, width: Fraction) -> bool:
+        return (self.b - self.a) * width.denominator > (width.numerator * self.s) << self.k
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.a, self.s << self.k)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.b, self.s << self.k)
+
+    def result(self) -> "AlgebraicReal":
+        return AlgebraicReal(self.poly, self.lo, self.hi)
 
 
 def _overlaps_open(root: AlgebraicReal, lo: Fraction, hi: Fraction) -> bool:
@@ -462,16 +533,13 @@ def _snap_rational(poly: UniPoly, lo: Fraction, hi: Fraction) -> Fraction | None
     such point, floor(lo*L) + 1 over L, and one evaluation decides.
     """
     lead = abs(poly.leading)
-    lo_sign = poly(lo) > 0
-    while (hi - lo) * lead >= 1:
-        mid = (lo + hi) / 2
-        value = poly(mid)
-        if value == 0:
-            return mid
-        if (value > 0) == lo_sign:
-            lo = mid
-        else:
-            hi = mid
+    grid = 1 / lead
+    run = _Bisection(poly, lo, hi)
+    # An open interval of width exactly 1/L also holds at most one m/L.
+    while run.wider_than(grid):
+        if run.step():
+            return run.lo
+    lo, hi = run.lo, run.hi
     candidate = Fraction(math.floor(lo * lead) + 1, lead)
     if candidate < hi and poly(candidate) == 0:
         return candidate

@@ -97,11 +97,12 @@ def _cmd_threshold(args) -> tuple[dict, list[str], list[str]]:
     """``threshold`` and ``poly``: the polynomial, and for threshold its root C."""
     family = load_family(args.family)
     fields, lines = _family_part(family)
-    pairings = [format_rational(d) for d in family.segre_pairings()]
+    segre = family.segre_pairings()
+    pairings = [format_rational(d) for d in segre]
     if args.command == "poly":
-        poly, constant = threshold.build_threshold_poly(family), None
+        poly, constant = threshold.build_threshold_poly(family, segre), None
     else:
-        poly, constant = threshold.threshold_result(family)
+        poly, constant = threshold.threshold_result(family, segre)
     fields.update(segre_pairings=pairings, polynomial=poly.to_json())
     lines.append("segre pairings (d_0 .. d_2n by omega-power): " + ", ".join(pairings))
     lines.append(f"p(t) = {poly.render()}")

@@ -279,4 +279,4 @@ class GradedSeries:
             monomial = ChernMonomial.from_json(entry["monomial"])
             coeff = parse_rational(str(entry["coeff"]))
             terms[monomial] = terms.get(monomial, Fraction(0)) + coeff
-        return cls(int(data["truncation"]), terms)
+        return cls(parse_integer(data["truncation"], "truncation"), terms)

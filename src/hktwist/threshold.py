@@ -22,10 +22,17 @@ from .exact import UniPoly
 from .family import HKFamily
 
 
-def build_threshold_poly(family: HKFamily) -> UniPoly:
-    """p(t) = sum binom(4n-1, 2i) d_{2i} t^i from the Segre pairings."""
+def build_threshold_poly(
+    family: HKFamily, pairings: list[Fraction] | None = None
+) -> UniPoly:
+    """p(t) = sum binom(4n-1, 2i) d_{2i} t^i from the Segre pairings.
+
+    ``pairings`` are ``family.segre_pairings()`` when the caller already
+    holds them; otherwise they are computed here.
+    """
     n = family.n
-    pairings = family.segre_pairings()
+    if pairings is None:
+        pairings = family.segre_pairings()
     return UniPoly(comb(4 * n - 1, 2 * i) * pairings[i] for i in range(n + 1))
 
 
@@ -34,9 +41,11 @@ def constant_C(family: HKFamily) -> AlgebraicReal | None:
     return threshold_result(family)[1]
 
 
-def threshold_result(family: HKFamily) -> tuple[UniPoly, AlgebraicReal | None]:
+def threshold_result(
+    family: HKFamily, pairings: list[Fraction] | None = None
+) -> tuple[UniPoly, AlgebraicReal | None]:
     """The threshold polynomial and its largest real root C (None if it has none)."""
-    poly = build_threshold_poly(family)
+    poly = build_threshold_poly(family, pairings)
     roots = isolate_real_roots(poly)
     return poly, (roots[-1] if roots else None)
 

@@ -13,7 +13,7 @@ from hktwist.algebraic import (
     simplest_between,
     sturm_chain,
 )
-from hktwist.exact import UniPoly
+from hktwist.exact import UniPoly, decimal_str, format_rational
 
 
 def test_sturm_counts_halfopen():
@@ -191,3 +191,233 @@ def test_isolation_matches_sympy(planted, cofactor_low, cofactor_lead):
         assert _fraction(a) <= root and root <= _fraction(b)
     rational = {_fraction(r) for r in reference.ground_roots()}
     assert {r.rational_value() for r in roots if r.is_rational} == rational
+
+
+# -- differential check against halving on Fraction endpoints ----------------
+#
+# The reference below halves on Fraction endpoints: each step evaluates p at
+# the midpoint and at lo, keeps the half whose ends differ in sign, and every
+# decimal check renders both endpoints.  The integer kernel must reproduce
+# its intervals, decimals and comparisons exactly.
+
+
+def _halve(poly, lo, hi):
+    mid = (lo + hi) / 2
+    value = poly(mid)
+    if value == 0:
+        return mid, mid
+    if poly(lo) * value < 0:
+        return lo, mid
+    return mid, hi
+
+
+def _ref_to_json(x, digits):
+    lo, hi = x.lo, x.hi
+    while decimal_str(lo, digits) != decimal_str(hi, digits):
+        lo, hi = _halve(x.poly, lo, hi)
+    return {
+        "poly": x.poly.to_json(),
+        "interval": [format_rational(lo), format_rational(hi)],
+        "decimal": decimal_str(lo, digits),
+    }
+
+
+def _ref_refine(x, width):
+    lo, hi = x.lo, x.hi
+    while hi - lo > width:
+        lo, hi = _halve(x.poly, lo, hi)
+    return lo, hi
+
+
+def _ref_compare_rational(x, q):
+    lo, hi = x.lo, x.hi
+    if lo < q < hi and x.poly(q) == 0:
+        return 0
+    while lo < q < hi:
+        lo, hi = _halve(x.poly, lo, hi)
+    if lo == hi:
+        return (lo > q) - (lo < q)
+    return -1 if hi <= q else 1
+
+
+def _ref_compare(x, y):
+    if y.is_rational:
+        return _ref_compare_rational(x, y.lo)
+    if x.is_rational:
+        return -_ref_compare_rational(y, x.lo)
+    common = x.poly.gcd(y.poly)
+    (alo, ahi), (blo, bhi) = (x.lo, x.hi), (y.lo, y.hi)
+    while True:
+        lo, hi = max(alo, blo), min(ahi, bhi)
+        if lo >= hi:
+            return -1 if ahi <= blo else 1
+        if common.degree >= 1 and count_roots(sturm_chain(common.squarefree_part()), lo, hi) == 1:
+            return 0
+        alo, ahi = _halve(x.poly, alo, ahi)
+        blo, bhi = _halve(y.poly, blo, bhi)
+        if alo == ahi:
+            return -_ref_compare_rational(AlgebraicReal(y.poly, blo, bhi), alo)
+        if blo == bhi:
+            return _ref_compare_rational(AlgebraicReal(x.poly, alo, ahi), blo)
+
+
+def _ref_square(x):
+    if x.is_rational:
+        return AlgebraicReal.from_rational(x.lo**2)
+    even, odd = UniPoly(x.poly.coeffs[0::2]), UniPoly(x.poly.coeffs[1::2])
+    target = (even * even - UniPoly.variable() * odd * odd).squarefree_part().primitive()
+    lo, hi = x.lo, x.hi
+    while lo < 0 < hi:
+        if x.poly(0) == 0:
+            return AlgebraicReal.from_rational(0)
+        lo, hi = _halve(x.poly, lo, hi)
+    folded = isolate_real_roots(target)
+    while lo != hi:
+        lo2, hi2 = sorted((lo * lo, hi * hi))
+        matches = [
+            r for r in folded
+            if (lo2 < r.lo < hi2 if r.is_rational else max(r.lo, lo2) < min(r.hi, hi2))
+        ]
+        if len(matches) == 1:
+            return matches[0]
+        lo, hi = _halve(x.poly, lo, hi)
+    return AlgebraicReal.from_rational(lo**2)
+
+
+def _same_number(a, b):
+    return (a.poly, a.lo, a.hi) == (b.poly, b.lo, b.hi)
+
+
+def _check_against_reference(x, digits, rationals, others=()):
+    reference = _ref_to_json(x, digits)
+    assert x.to_json(digits) == reference
+    assert x.decimal(digits) == reference["decimal"]
+    for width in (Fraction(1, 10**digits), Fraction(3, 7)):
+        refined = x.refine_to(width)
+        assert (refined.lo, refined.hi) == _ref_refine(x, width)
+        assert refined.poly == x.poly
+    assert x.sign() == _ref_compare_rational(x, Fraction(0))
+    for q in rationals:
+        assert x.compare(q) == _ref_compare_rational(x, Fraction(q))
+    for y in others:
+        assert x.compare(y) == _ref_compare(x, y)
+    assert _same_number(x.square(), _ref_square(x))
+
+
+def _named_roots():
+    from hktwist.family import preset
+    from hktwist.hilbert_square import z_pairing
+    from hktwist.threshold import constant_C, gamma_p
+
+    roots = [constant_C(preset(name)) for name in ("K3", "K3_2", "K3_3")]
+    roots.append(isolate_real_roots(z_pairing())[-1])  # 4 + 4*sqrt(2)
+    roots += [gamma_p(preset(name), q) for name in ("K3_2", "K3_3") for q in (1, 6, Fraction(7, 3))]
+    return roots
+
+
+_NAMED = _named_roots()
+
+
+def test_named_roots_cover_the_constants():
+    assert [r.decimal(7) for r in _NAMED[:4]] == ["8", "5.049390", "5.953679", "9.656854"]
+    assert not any(r.is_rational for r in _NAMED[1:])
+
+
+@pytest.mark.parametrize("digits", range(1, 121))
+def test_named_roots_match_reference(digits):
+    """Preset constants, the z-root 4 + 4*sqrt(2) and gamma_p roots, d = 1 .. 120."""
+    roots = _NAMED if digits % 10 == 0 else [_NAMED[1 + digits % 3]]
+    rationals = [Fraction(k, 3) for k in (-3, 0, 14, 17, 18, 29, 30)]
+    for x in roots:
+        _check_against_reference(x, digits, rationals, _NAMED[:4] if digits <= 12 else ())
+
+
+# Roots at a rounding boundary: 9.999995 (decade carry at 6 digits), a midpoint
+# 1.234565 between two 7-digit decimals, and 1.4e-5 far below 1.
+_BOUNDARY = [
+    (UniPoly((Fraction(-999999, 10000), 0, 1)), 6),  # t^2 - 99.9999
+    (UniPoly((-1, 0, 0, 1)) * 10**18 - UniPoly((999999**3,)), 6),
+    (UniPoly((Fraction(-1234565**2, 10**12) - Fraction(1, 10**30), 0, 1)), 7),
+    (UniPoly((Fraction(-196, 10**12) - Fraction(1, 10**40), 0, 1)), 2),
+]
+
+
+@pytest.mark.parametrize("poly,digits", _BOUNDARY)
+def test_boundary_roots_match_reference(poly, digits):
+    roots = isolate_real_roots(poly)
+    assert roots and not any(r.is_rational for r in roots)
+    for x in roots:
+        for d in (digits - 1, digits, digits + 1, 3 * digits, 40):
+            if d >= 1:
+                _check_against_reference(x, d, [Fraction(0), Fraction(10), x.lo, x.hi], roots)
+
+
+# Intervals built by hand around a rational root that some bisection midpoint
+# hits exactly, so each refinement ends on a point interval.
+_HAND_BUILT = [
+    AlgebraicReal(UniPoly((-1, 0, 1)), Fraction(0), Fraction(2)),  # 1 at the first midpoint
+    AlgebraicReal(UniPoly((Fraction(-1, 4), 0, 1)), Fraction(0), Fraction(2)),  # 1/2 at the second
+    AlgebraicReal(UniPoly((-1, 2)), Fraction(-1), Fraction(2)),  # 1/2, straddling 0
+    AlgebraicReal(UniPoly((-1, 0, 1)), Fraction(-2), Fraction(0)),  # -1
+]
+
+
+@pytest.mark.parametrize("x", _HAND_BUILT)
+def test_hand_built_intervals_match_reference(x):
+    sqrt2 = AlgebraicReal(UniPoly((-2, 0, 1)), Fraction(0), Fraction(2))
+    others = _HAND_BUILT + [sqrt2, sqrt2.scale(-1)]
+    for digits in (1, 6, 30):
+        _check_against_reference(x, digits, [Fraction(1), Fraction(1, 2), Fraction(-1)], others)
+        for y in others:
+            assert y.compare(x) == _ref_compare(y, x)
+
+
+_small_fraction = st.fractions(min_value=Fraction(1, 10**6), max_value=999, max_denominator=10**6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        # t^2 - v: roots +-sqrt(v), one of them negative, often inside (0, 1)
+        _small_fraction.map(lambda v: UniPoly((-v, 0, 1))),
+        # (t - r)(t^2 - v) and t^3 - c*t + v: cubics with roots of both signs
+        st.tuples(st.fractions(min_value=-9, max_value=9, max_denominator=20), _small_fraction)
+        .map(lambda rv: UniPoly((-rv[0], 1)) * UniPoly((-rv[1], 0, 1))),
+        st.tuples(st.integers(min_value=-9, max_value=9), st.integers(min_value=-30, max_value=30))
+        .map(lambda cv: UniPoly((cv[1], cv[0], 0, 1))),
+        # a root within 10^-20 of a midpoint m + 1/2 over 10^k (a rounding boundary)
+        st.tuples(st.integers(min_value=1, max_value=10**6), st.integers(min_value=0, max_value=8))
+        .map(lambda mk: UniPoly((-(Fraction(2 * mk[0] + 1, 2 * 10 ** mk[1]) ** 2
+                                   + Fraction(1, 10**20)), 0, 1))),
+    ),
+    st.integers(min_value=1, max_value=120),
+)
+def test_planted_roots_match_reference(poly, digits):
+    roots = isolate_real_roots(poly)
+    for x in roots:
+        _check_against_reference(x, digits, [Fraction(0), Fraction(1, 2), Fraction(-1), x.lo], roots)
+
+
+def test_decimal_1000_makes_bounded_calls(monkeypatch):
+    """z.decimal(1000) refines on integers: a few evaluations and constructions,
+    where halving on Fraction endpoints made thousands of each."""
+    from hktwist.hilbert_square import z_pairing
+
+    z = isolate_real_roots(z_pairing())[-1]
+    counts = {"call": 0, "init": 0}
+    poly_call, real_init = UniPoly.__call__, AlgebraicReal.__init__
+
+    def counted_call(self, point):
+        counts["call"] += 1
+        return poly_call(self, point)
+
+    def counted_init(self, *args):
+        counts["init"] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(UniPoly, "__call__", counted_call)
+    monkeypatch.setattr(AlgebraicReal, "__init__", counted_init)
+    text = z.decimal(1000)
+    doc = z.to_json(1000)
+    assert text == doc["decimal"] and text.startswith("9.65685424949238019520")
+    assert counts["call"] <= 10 and counts["init"] <= 10

@@ -86,6 +86,17 @@ def test_json_roundtrip():
     assert GradedSeries.from_json(s.to_json()) == s
 
 
+@pytest.mark.parametrize("truncation", [2.5, True, "1e400", float("inf"), "2.5"])
+def test_from_json_refuses_non_integer_truncation(truncation):
+    """A truncation is read as an integer, never truncated to one."""
+    data = GradedSeries(4, {UNIT: Fraction(1)}).to_json()
+    data["truncation"] = truncation
+    with pytest.raises(ValueError, match="truncation must be an integer"):
+        GradedSeries.from_json(data)
+    data["truncation"] = 4.0
+    assert GradedSeries.from_json(data).truncation == 4
+
+
 _series_strategy = st.integers(min_value=0, max_value=8).flatmap(
     lambda trunc: st.dictionaries(
         st.builds(
