@@ -333,10 +333,10 @@ class AlgebraicReal:
         if self.is_rational:
             return AlgebraicReal.from_rational(self.lo * self.lo)
         # If x is a root of p(t) = E(t^2) + t*O(t^2), then u = x^2 is a root
-        # of E(u)^2 - u*O(u)^2.
+        # of E(u)^2 - u*O(u)^2 (isolate_real_roots takes its square-free part).
         even = UniPoly(self.poly.coeffs[0::2])
         odd = UniPoly(self.poly.coeffs[1::2])
-        target = (even * even - UniPoly.variable() * odd * odd).squarefree_part().primitive()
+        target = even * even - UniPoly.variable() * odd * odd
         run = _Bisection(self.poly, self.lo, self.hi)
         if run.a < 0 < run.b and self.poly(0) == 0:
             return AlgebraicReal.from_rational(0)
@@ -453,17 +453,24 @@ def _overlaps_open(root: AlgebraicReal, lo: Fraction, hi: Fraction) -> bool:
 def isolate_real_roots(poly: UniPoly) -> list[AlgebraicReal]:
     """All real roots of ``poly``, ascending, as exact AlgebraicReals.
 
-    Works on the square-free part, so multiplicities collapse.  Rational
-    roots, whatever their denominator, come back as exact points (by the
-    rational root theorem, see the module docstring); irrational roots carry
+    Works on the square-free part, so multiplicities collapse.  The Sturm
+    chain of p ends in gcd(p, p') up to a positive factor, so one remainder
+    sequence both detects a repeated root and, when there is none, is the
+    chain used for counting; only a polynomial with a repeated root is
+    divided by that gcd and gets a second chain.  Rational roots, whatever
+    their denominator, come back as exact points (by the rational root
+    theorem, see the module docstring); irrational roots carry
     sign-straddling isolating intervals.
     """
     if poly.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    reduced = poly.squarefree_part().primitive()
+    reduced = poly.primitive()
     if reduced.degree < 1:
         return []
     chain = sturm_chain(reduced)
+    if chain[-1].degree >= 1:
+        reduced = (reduced // chain[-1]).primitive()
+        chain = sturm_chain(reduced)
     bound = cauchy_bound(reduced)
     total = count_roots(chain, -bound, bound)
     if reduced(-bound) == 0:  # pragma: no cover - Cauchy bound is strict

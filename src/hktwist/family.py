@@ -7,18 +7,24 @@ rational constant d with
 
     integral  m . omega^(2n - w)  =  d * q^((2n - w)/2).
 
-Everything downstream (Segre pairings, threshold polynomials) is a finite
-exact computation from this table.  Three families ship built in: a K3
-surface and the Hilbert schemes of 2 and 3 points on a K3.
+A table must hold every monomial of weight <= 2n (those of weight w are
+the partitions of w/2) and is checked for that when it is built.
+Everything downstream (Segre pairings, threshold polynomials) is then a
+finite exact computation from the table: the Segre class is the inverse
+1/c of the total Chern class, and its coefficients are known in closed
+form (Fulton, *Intersection Theory*, section 3.2), so the pairings are one
+pass over the table.  Three families ship built in: a K3 surface and the
+Hilbert schemes of 2 and 3 points on a K3.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from math import factorial
+from typing import Iterator, Mapping
 
 from .exact import format_rational, parse_integer, parse_rational
-from .series import ChernMonomial, GradedSeries, UNIT
+from .series import ChernMonomial, UNIT
 
 PRESET_NAMES = ("K3", "K3_2", "K3_3")
 
@@ -38,6 +44,17 @@ class HKFamily:
             table[monomial] = Fraction(constant)
         if UNIT not in table or table[UNIT] == 0:
             raise ValueError("the omega^(2n) pairing must be present and nonzero")
+        # The entries are distinct monomials of weight <= 2n, so the table is
+        # complete exactly when it has as many as there are such monomials.
+        # Counting stops once that number passes the table size, so a huge n
+        # costs no more than a small one.
+        remaining = len(table)
+        for _, count in zip(range(n + 1), _partition_counts()):
+            remaining -= count
+            if remaining < 0:
+                raise ValueError(
+                    f"family {name!r} has no pairing for {_first_missing(table)}"
+                )
         self.name = name
         self.n = n
         self.pairings = table
@@ -55,28 +72,24 @@ class HKFamily:
                 f"family {self.name!r} has no pairing for {monomial}"
             ) from None
 
-    def pair_component(self, component: Mapping[ChernMonomial, Fraction]) -> Fraction:
-        """Pair a single-weight polynomial in Chern symbols, linearly."""
-        total = Fraction(0)
-        for monomial, coeff in component.items():
-            total += coeff * self.pair(monomial)
-        return total
-
     def segre_pairings(self) -> list[Fraction]:
         """Constants d_{2j} with  integral s_{2n-2j} . omega^(2j) = d_{2j} q^j.
 
-        The Segre classes come from inverting the generic total Chern series
-        1 + c2 + c4 + ... truncated at the dimension, then pairing each
-        weight component through the table.
+        The coefficient of a monomial with exponents e_i in the Segre class
+        1/(1 + c2 + c4 + ...) is (-1)^k k!/prod e_i!, where k = sum e_i: the
+        number of ordered ways to write it as a product of k Chern symbols,
+        from the geometric series of 1/(1 + x).  So d_{2j} sums that
+        coefficient times the table constant over the monomials of weight
+        2n - 2j.
         """
-        chern = GradedSeries.one(self.dimension)
-        for index in range(2, self.dimension + 1, 2):
-            chern = chern + GradedSeries.symbol(index, self.dimension)
-        segre = chern.inverse()
-        return [
-            self.pair_component(segre.component(self.dimension - 2 * j))
-            for j in range(self.n + 1)
-        ]
+        pairings = [Fraction(0)] * (self.n + 1)
+        for monomial, constant in self.pairings.items():
+            size = sum(exponent for _, exponent in monomial.factors)
+            orderings = factorial(size)
+            for _, exponent in monomial.factors:
+                orderings //= factorial(exponent)
+            pairings[self.n - monomial.weight // 2] += (-1) ** size * orderings * constant
+        return pairings
 
     # -- serialization --------------------------------------------------
 
@@ -123,6 +136,49 @@ class HKFamily:
                 )
             pairings[monomial] = parse_rational(str(entry["constant"]))
         return cls(name, n, pairings)
+
+
+def _partition_counts() -> Iterator[int]:
+    """p(0), p(1), ...: the number of monomials of weight 0, 2, 4, ...
+
+    A monomial of weight 2k in c2, c4, ... is a partition of k.  Euler's
+    pentagonal number recurrence gives each p(k) from the earlier ones.
+    """
+    counts = [1]
+    while True:
+        yield counts[-1]
+        k = len(counts)
+        total, j = 0, 1
+        while (pentagonal := j * (3 * j - 1) // 2) <= k:
+            sign = 1 if j % 2 else -1
+            total += sign * counts[k - pentagonal]
+            if pentagonal + j <= k:
+                total += sign * counts[k - pentagonal - j]
+            j += 1
+        counts.append(total)
+
+
+def _monomials(weight: int, largest: int) -> Iterator[dict[int, int]]:
+    """Factor maps of the monomials of one weight with no index above ``largest``."""
+    if weight == 0:
+        yield {}
+        return
+    for index in range(min(weight, largest), 1, -2):
+        for rest in _monomials(weight - index, index):
+            yield {**rest, index: rest.get(index, 0) + 1}
+
+
+def _first_missing(table: Mapping[ChernMonomial, Fraction]) -> ChernMonomial:
+    """The first monomial, by weight and then by factors, absent from an
+    incomplete table."""
+    weight = 0
+    while True:
+        absent = [
+            m for m in map(ChernMonomial, _monomials(weight, weight)) if m not in table
+        ]
+        if absent:
+            return min(absent, key=lambda m: m.factors)
+        weight += 2
 
 
 def _mono(factors: Mapping[int, int]) -> ChernMonomial:

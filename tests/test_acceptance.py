@@ -20,9 +20,10 @@ from hktwist.family import preset
 from hktwist.series import ChernMonomial, GradedSeries, UNIT
 from hktwist.threshold import (
     build_threshold_poly,
-    cube_radical_interval,
     threshold_result,
 )
+
+from radical_form import cube_radical_interval
 
 
 def _report(number: int, ok: bool, detail: str) -> None:

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from hktwist.algebraic import (
     AlgebraicReal,
+    _split,
+    cauchy_bound,
     count_roots,
     isolate_real_roots,
     largest_real_root,
@@ -191,6 +193,44 @@ def test_isolation_matches_sympy(planted, cofactor_low, cofactor_lead):
         assert _fraction(a) <= root and root <= _fraction(b)
     rational = {_fraction(r) for r in reference.ground_roots()}
     assert {r.rational_value() for r in roots if r.is_rational} == rational
+
+
+def _isolate_via_squarefree_part(poly):
+    """Reference isolation: divide by UniPoly.gcd(p, p') first, then build
+    the Sturm chain of that square-free part."""
+    reduced = poly.squarefree_part().primitive()
+    if reduced.degree < 1:
+        return []
+    chain = sturm_chain(reduced)
+    bound = cauchy_bound(reduced)
+    roots = []
+    _split(reduced, chain, -bound, bound, count_roots(chain, -bound, bound), roots)
+    return roots
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.lists(_planted, min_size=0, max_size=3),
+    st.lists(  # t^2 - v to a power: repeated irrational roots (or none, v < 0)
+        st.tuples(st.integers(min_value=-5, max_value=30), st.integers(min_value=1, max_value=3)),
+        max_size=1,
+    ),
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=3),
+    st.integers(min_value=-9, max_value=9).filter(bool),
+)
+def test_one_remainder_sequence_matches_squarefree_part(planted, quadratics, low, lead):
+    """Reusing the Sturm chain's last remainder as gcd(p, p') gives the same
+    polynomial and the same intervals as dividing by UniPoly.gcd first."""
+    poly = UniPoly(low + [lead])
+    for d, whole, offset, mult, neighbour in planted:
+        m = whole * d + offset
+        poly = poly * UniPoly((-m, d)) ** mult
+        if neighbour:
+            poly = poly * UniPoly((-(m + 1), d))
+    for v, mult in quadratics:
+        poly = poly * UniPoly((-v, 0, 1)) ** mult
+    got = [(r.poly, r.lo, r.hi) for r in isolate_real_roots(poly)]
+    assert got == [(r.poly, r.lo, r.hi) for r in _isolate_via_squarefree_part(poly)]
 
 
 # -- differential check against halving on Fraction endpoints ----------------

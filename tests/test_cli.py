@@ -201,6 +201,13 @@ MALFORMED_FAMILY_FILES = [
     ("[1, 2]", "family must be a JSON object, not list"),
     (json.dumps(k3_document(pairings={})), "pairings must be a JSON list"),
     (json.dumps(k3_document(pairings=[1])), "each pairing must be a JSON object"),
+    # only the unit entry: refused at construction, before any Segre work
+    (json.dumps(k3_document(n=40, pairings=[
+        {"monomial": {}, "omega_power": 80, "constant": "1"},
+    ])), "no pairing for c2"),
+    (json.dumps(k3_document(n=1e300, pairings=[
+        {"monomial": {}, "omega_power": 2e300, "constant": "1"},
+    ])), "no pairing for c2"),
 ]
 
 

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from hktwist.family import HKFamily, _verify_cube_table, preset
-from hktwist.series import ChernMonomial, UNIT
+from hktwist.series import ChernMonomial, GradedSeries, UNIT
 
 
 def test_preset_k3():
@@ -28,6 +29,56 @@ def test_segre_pairings():
     assert preset("K3").segre_pairings() == [-24, 1]
     assert preset("K3_2").segre_pairings() == [504, -30, 3]
     assert preset("K3_3").segre_pairings() == [-10560, -576, -108, 15]
+
+
+def _generic_segre(dimension):
+    """1/(1 + c2 + c4 + ...) by the generic series inversion."""
+    chern = GradedSeries.one(dimension)
+    for index in range(2, dimension + 1, 2):
+        chern = chern + GradedSeries.symbol(index, dimension)
+    return chern.inverse()
+
+
+def _segre_by_inversion(family):
+    """The Segre pairings from the inverted series, paired through the table."""
+    segre = _generic_segre(family.dimension)
+    return [
+        sum(
+            (c * family.pair(m) for m, c in segre.component(family.dimension - 2 * j).items()),
+            Fraction(0),
+        )
+        for j in range(family.n + 1)
+    ]
+
+
+def _random_table(rng, n):
+    """A complete table: every monomial of the inverted series (all of them,
+    since each Segre coefficient is nonzero) gets a random constant."""
+    table = {
+        m: Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 9))
+        for m in _generic_segre(2 * n).terms
+    }
+    table[UNIT] = Fraction(rng.randint(1, 60))
+    return table
+
+
+@pytest.mark.parametrize("name", ["K3", "K3_2", "K3_3"])
+def test_closed_form_matches_inversion_on_presets(name):
+    fam = preset(name)
+    assert fam.segre_pairings() == _segre_by_inversion(fam)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_closed_form_matches_inversion_on_random_tables(n):
+    fam = HKFamily("random", n, _random_table(random.Random(n), n))
+    assert fam.segre_pairings() == _segre_by_inversion(fam)
+
+
+def test_incomplete_table_refused_at_construction():
+    pairings = dict(preset("K3_2").pairings)
+    del pairings[ChernMonomial({4: 1})]
+    with pytest.raises(ValueError, match="no pairing for c4"):
+        HKFamily("K3_2", 2, pairings)
 
 
 def test_pairing_lookup_error_names_monomial():

@@ -9,12 +9,13 @@ from hktwist.family import preset
 from hktwist.threshold import (
     build_threshold_poly,
     constant_C,
-    cube_radical_interval,
     gamma_p,
     is_pseff_sufficient,
     pseff_cone_member,
     threshold_result,
 )
+
+from radical_form import cube_radical_interval
 
 
 def test_threshold_polys():
