@@ -1,32 +1,35 @@
 """Certified real-root isolation and exact algebraic real numbers.
 
-Roots are located with Sturm's theorem: for square-free p, the number of
-real roots in (a, b] is V(a) - V(b), where V(x) counts sign changes along
-the Sturm chain evaluated at x.  Each isolated root becomes an
-:class:`AlgebraicReal` — a square-free integer polynomial plus a rational
-isolating interval — on which comparison, squaring, rescaling and decimal
-rendering are all exact.  No floating point is involved anywhere.
+Roots are located with Sturm's theorem: the number of distinct real roots
+of p in (a, b], for a and b not roots of p, is V(a) - V(b), where V(x)
+counts sign changes along the Sturm chain evaluated at x.  Each isolated
+root becomes an :class:`AlgebraicReal` — a square-free integer polynomial
+plus a rational isolating interval — on which comparison, squaring,
+rescaling and decimal rendering are all exact.  No floating point is
+involved anywhere.
 
 Rational roots are recognized and snapped to exact points by the rational
 root theorem: the isolating polynomial is primitive with integer
 coefficients, so every rational root is m/L with L = |leading coefficient|.
-A copy of the isolating interval is bisected until it is narrower than 1/L;
-it then holds at most one such candidate, and a single evaluation decides.
-The test is exact for every denominator.
+The run that certified the isolating interval keeps bisecting until it is
+narrower than 1/L; it then holds at most one such candidate, and a single
+evaluation decides.  The test is exact for every denominator.
 
-Every refinement loop (``refine_to``, ``decimal``, ``to_json``,
-``compare``, ``square`` and the snapping above) steps one integer bisection
+Only the Sturm-count splitting of ``_split`` halves on ``Fraction``
+endpoints.  Every loop that halves an interval after that (certification
+of each isolated root with its snapping, ``refine_to``, ``decimal``,
+``to_json``, ``compare`` and ``square``) steps one integer bisection
 kernel, :class:`_Bisection`.  It holds the polynomial with its denominators
 cleared, the endpoints as integers a < b over one positive denominator, and
-the sign of p at a, which never changes.  A step doubles a, b and the
-denominator, decides the sign of p at the midpoint a + b by one homogeneous
-integer Horner pass, and keeps the half whose ends differ in sign.  The
-intervals are exactly those of halving on ``Fraction`` endpoints, but no
-``Fraction`` and no :class:`AlgebraicReal` is built per step; an
-``AlgebraicReal`` is built, through the validating constructor, only for a
-returned value.  Comparison with a rational needs no refinement at all: the
-root lies left of a rational x inside its interval exactly when p(x) and
-p(lo) differ in sign.
+the sign of p just right of a, taken as -sign p(b), which never changes.
+A step doubles a, b and the denominator, decides the sign of p at the
+midpoint a + b by one homogeneous integer Horner pass, and keeps the half
+on which p changes sign.  The intervals are exactly those of halving on
+``Fraction`` endpoints, but no ``Fraction`` and no :class:`AlgebraicReal`
+is built per step; an ``AlgebraicReal`` is built, through the validating
+constructor, only for a returned value.  Comparison with a rational needs
+no refinement at all: the root lies left of a rational x inside its
+interval exactly when p(x) and p(lo) differ in sign.
 """
 
 from __future__ import annotations
@@ -42,8 +45,12 @@ from .exact import DEFAULT_SIG_DIGITS, UniPoly, decimal_str, format_rational
 
 
 def sturm_chain(poly: UniPoly) -> list[UniPoly]:
-    """Sturm chain of a square-free polynomial.
+    """Sturm chain of any nonconstant polynomial p.
 
+    Its last element is gcd(p, p') up to a positive factor: a constant
+    exactly when p is square-free.  Dividing the chain by that element
+    changes no sign variation at a point where it is nonzero, so the chain
+    counts the distinct roots of p between two points that are not roots.
     Each remainder is rescaled by a positive rational to keep coefficients
     small; positive scaling preserves all sign information.
     """
@@ -273,24 +280,18 @@ class AlgebraicReal:
             return self._compare_rational(other.lo)
         if self.is_rational:
             return -other._compare_rational(self.lo)
-        # Equal values must be a shared root of gcd(p, q); detect it once,
-        # otherwise the intervals separate after finitely many bisections.
-        common = self.poly.gcd(other.poly)
+        # Equal values are a root of gcd(p, q) inside both intervals (it is
+        # then the one root of either poly there); once that is ruled out,
+        # the intervals separate after finitely many bisections.
+        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        if lo < hi and _shares_root(self.poly, other.poly, lo, hi):
+            return 0
         a = _Bisection(self.poly, self.lo, self.hi)
         b = _Bisection(other.poly, other.lo, other.hi)
         while True:
             a_lo, a_hi, b_lo, b_hi = a.lo, a.hi, b.lo, b.hi
-            lo = max(a_lo, b_lo)
-            hi = min(a_hi, b_hi)
-            if lo >= hi:
+            if max(a_lo, b_lo) >= min(a_hi, b_hi):
                 return -1 if a_hi <= b_lo else 1
-            if common.degree >= 1:
-                chain = sturm_chain(common.squarefree_part())
-                if count_roots(chain, lo, hi) == 1:
-                    # One common root inside both isolating intervals: that
-                    # root is the unique root of either poly there, so a == b.
-                    return 0
-                common = UniPoly.zero()  # overlap holds no shared root; drop the test
             if a.step():
                 return -b.result()._compare_rational(a.lo)
             if b.step():
@@ -320,11 +321,7 @@ class AlgebraicReal:
         """Exact membership test: does ``poly`` vanish at this number?"""
         if self.is_rational:
             return poly(self.lo) == 0
-        common = self.poly.gcd(poly)
-        if common.degree < 1:
-            return False
-        chain = sturm_chain(common.squarefree_part())
-        return count_roots(chain, self.lo, self.hi) == 1
+        return _shares_root(self.poly, poly, self.lo, self.hi)
 
     # -- exact algebra ----------------------------------------------------------
 
@@ -384,8 +381,11 @@ class _Bisection:
 
         sum_i terms[i] * x^i * 2^(k * (d - i)),
 
-    which Horner's rule evaluates with integer products and shifts.  After a
-    step that hits the root, a == b.
+    which Horner's rule evaluates with integer products and shifts.  The
+    sign p takes left of the root is read as -sign p(hi), so lo may start
+    on a root of p outside the interval (the neighbour isolated to the
+    left, see ``_certify_single``).  After a step that hits the root,
+    a == b.
     """
 
     __slots__ = ("poly", "terms", "a", "b", "s", "k", "lo_sign")
@@ -399,7 +399,7 @@ class _Bisection:
         clear = math.lcm(*(c.denominator for c in poly.coeffs))
         d = poly.degree
         self.terms = [int(c * clear) * self.s ** (d - i) for i, c in enumerate(poly.coeffs)]
-        self.lo_sign = self._sign_at(self.a)
+        self.lo_sign = -self._sign_at(self.b)
 
     def _sign_at(self, x: int) -> int:
         """Sign of p(x / (s * 2^k))."""
@@ -447,6 +447,17 @@ def _overlaps_open(root: AlgebraicReal, lo: Fraction, hi: Fraction) -> bool:
     return max(root.lo, lo) < min(root.hi, hi)
 
 
+def _shares_root(p: UniPoly, q: UniPoly, lo: Fraction, hi: Fraction) -> bool:
+    """Does gcd(p, q) have exactly one root in (lo, hi]?
+
+    Neither end may be a root of p.  The gcd need not be square-free: its
+    Sturm chain counts distinct roots (see ``sturm_chain``), and its roots
+    are roots of p, so the ends are not among them.
+    """
+    common = p.gcd(q)
+    return common.degree >= 1 and count_roots(sturm_chain(common), lo, hi) == 1
+
+
 # -- isolation -----------------------------------------------------------------
 
 
@@ -492,7 +503,7 @@ def _split(
     if count == 0:
         return
     if count == 1:
-        out.append(_certify_single(poly, chain, lo, hi))
+        out.append(_certify_single(poly, lo, hi))
         return
     mid = (lo + hi) / 2
     left = count_roots(chain, lo, mid)
@@ -500,57 +511,34 @@ def _split(
     _split(poly, chain, mid, hi, count - left, out)
 
 
-def _certify_single(
-    poly: UniPoly, chain: Sequence[UniPoly], lo: Fraction, hi: Fraction
-) -> AlgebraicReal:
-    """Turn a one-root Sturm interval (lo, hi] into an AlgebraicReal."""
+def _certify_single(poly: UniPoly, lo: Fraction, hi: Fraction) -> AlgebraicReal:
+    """Turn a one-root Sturm interval (lo, hi] of square-free ``poly`` into an
+    AlgebraicReal, with one run of the bisection kernel.
+
+    If lo is a root (the neighbour isolated to the left), p has the sign of
+    -p(hi) between it and our root, so the kernel keeps the half holding
+    our root; it steps until lo is no root.  That interval is the result
+    for an irrational root.  The run then continues until it is narrower
+    than 1/L, L = |leading coefficient|, where by the rational root theorem
+    at most one m/L remains, floor(lo*L) + 1 over L, and one evaluation
+    decides whether the root is rational (an open interval of width exactly
+    1/L also holds at most one m/L).
+    """
     if poly(hi) == 0:
         return AlgebraicReal.from_rational(hi)
-    while poly(lo) == 0:
-        # lo is a root claimed by the interval to our left; walk the edge
-        # inward until it clears our root's neighbourhood.
-        mid = (lo + hi) / 2
-        if poly(mid) == 0:
-            return AlgebraicReal.from_rational(mid)
-        if count_roots(chain, lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
-    # Shrink until the endpoints straddle the root by sign.
-    while poly(lo) * poly(hi) > 0:
-        mid = (lo + hi) / 2
-        if poly(mid) == 0:
-            return AlgebraicReal.from_rational(mid)
-        if count_roots(chain, lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
-    candidate = _snap_rational(poly, lo, hi)
-    if candidate is not None:
+    run = _Bisection(poly, lo, hi)
+    while run._sign_at(run.a) == 0:
+        if run.step():
+            return AlgebraicReal.from_rational(run.lo)
+    lo, hi = run.lo, run.hi
+    lead = abs(poly.leading)
+    while run.wider_than(1 / lead):
+        if run.step():
+            return AlgebraicReal.from_rational(run.lo)
+    candidate = Fraction(math.floor(run.lo * lead) + 1, lead)
+    if candidate < run.hi and poly(candidate) == 0:
         return AlgebraicReal.from_rational(candidate)
     return AlgebraicReal(poly, lo, hi)
-
-
-def _snap_rational(poly: UniPoly, lo: Fraction, hi: Fraction) -> Fraction | None:
-    """The rational root of ``poly`` in (lo, hi), or None if the root is irrational.
-
-    ``poly`` is primitive with integer coefficients, so by the rational root
-    theorem every rational root is m/L with L = |leading coefficient|.  Once
-    the sign-straddling interval is narrower than 1/L it holds at most one
-    such point, floor(lo*L) + 1 over L, and one evaluation decides.
-    """
-    lead = abs(poly.leading)
-    grid = 1 / lead
-    run = _Bisection(poly, lo, hi)
-    # An open interval of width exactly 1/L also holds at most one m/L.
-    while run.wider_than(grid):
-        if run.step():
-            return run.lo
-    lo, hi = run.lo, run.hi
-    candidate = Fraction(math.floor(lo * lead) + 1, lead)
-    if candidate < hi and poly(candidate) == 0:
-        return candidate
-    return None
 
 
 def largest_real_root(poly: UniPoly) -> AlgebraicReal:

@@ -88,7 +88,8 @@ def _family_part(family: HKFamily) -> tuple[dict, list[str]]:
 
 def _threshold_notes(family: HKFamily) -> list[str]:
     out = [notes.NOTE_EXACT, notes.NOTE_OMEGA_POWERS]
-    if family.name == "K3_3":
+    # The note is about the K3_3 constant, so it follows the table, not the name.
+    if family.n == 3 and family.pairings == preset("K3_3").pairings:
         out.append(notes.NOTE_CUBE_DECIMAL)
     return out
 

@@ -181,10 +181,6 @@ def _first_missing(table: Mapping[ChernMonomial, Fraction]) -> ChernMonomial:
         weight += 2
 
 
-def _mono(factors: Mapping[int, int]) -> ChernMonomial:
-    return ChernMonomial(factors)
-
-
 def _verify_cube_table(family: HKFamily) -> HKFamily:
     """Self-check on the Hilbert-cube weight-6 entries, run on every load.
 
@@ -200,9 +196,9 @@ def _verify_cube_table(family: HKFamily) -> HKFamily:
 
     derived = cube_chern_numbers()
     stored = (
-        family.pair(_mono({2: 3})),
-        family.pair(_mono({2: 1, 4: 1})),
-        family.pair(_mono({6: 1})),
+        family.pair(ChernMonomial({2: 3})),
+        family.pair(ChernMonomial({2: 1, 4: 1})),
+        family.pair(ChernMonomial({6: 1})),
     )
     if derived != stored:
         raise AssertionError(
@@ -225,7 +221,7 @@ def preset(name: str) -> HKFamily:
             1,
             {
                 UNIT: Fraction(1),
-                _mono({2: 1}): Fraction(24),
+                ChernMonomial({2: 1}): Fraction(24),
             },
         )
     if name == "K3_2":
@@ -234,9 +230,9 @@ def preset(name: str) -> HKFamily:
             2,
             {
                 UNIT: Fraction(3),
-                _mono({2: 1}): Fraction(30),
-                _mono({2: 2}): Fraction(828),
-                _mono({4: 1}): Fraction(324),
+                ChernMonomial({2: 1}): Fraction(30),
+                ChernMonomial({2: 2}): Fraction(828),
+                ChernMonomial({4: 1}): Fraction(324),
             },
         )
     if name == "K3_3":
@@ -245,12 +241,12 @@ def preset(name: str) -> HKFamily:
             3,
             {
                 UNIT: Fraction(15),
-                _mono({2: 1}): Fraction(108),
-                _mono({2: 2}): Fraction(1848),
-                _mono({4: 1}): Fraction(2424),
-                _mono({2: 3}): Fraction(36800),
-                _mono({2: 1, 4: 1}): Fraction(14720),
-                _mono({6: 1}): Fraction(3200),
+                ChernMonomial({2: 1}): Fraction(108),
+                ChernMonomial({2: 2}): Fraction(1848),
+                ChernMonomial({4: 1}): Fraction(2424),
+                ChernMonomial({2: 3}): Fraction(36800),
+                ChernMonomial({2: 1, 4: 1}): Fraction(14720),
+                ChernMonomial({6: 1}): Fraction(3200),
             },
         ))
     raise ValueError(f"unknown family {name!r}; presets are {', '.join(PRESET_NAMES)}")

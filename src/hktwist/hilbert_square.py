@@ -50,17 +50,16 @@ C4_VALUE = Fraction(324)
 class SquareClass:
     """A cohomology class on X: a linear combination of symbol monomials.
 
-    terms maps (i_alpha, i_delta, i_sbar, i_pt) to a UniPoly coefficient in
-    the parameter a.  Monomials of weight above 4 vanish on the 4-fold and
+    terms maps (i_alpha, i_delta, i_sbar) to a UniPoly coefficient in the
+    parameter a.  Monomials of weight above 4 vanish on the 4-fold and
     are dropped on the spot.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, int, int, int], UniPoly] = ()):
-        cleaned: dict[tuple[int, int, int, int], UniPoly] = {}
+    def __init__(self, terms: Mapping[tuple[int, int, int], UniPoly] = ()):
+        cleaned: dict[tuple[int, int, int], UniPoly] = {}
         for key, coeff in dict(terms).items():
-            ia, idl, isb, ipt = key
             if min(key) < 0:
                 raise ValueError(f"negative exponent in {key}")
             if not isinstance(coeff, UniPoly):
@@ -109,7 +108,7 @@ class SquareClass:
             return SquareClass({k: c * factor for k, c in self.terms.items()})
         if not isinstance(other, SquareClass):
             return NotImplemented
-        out: dict[tuple[int, int, int, int], UniPoly] = {}
+        out: dict[tuple[int, int, int], UniPoly] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 key = tuple(x + y for x, y in zip(k1, k2))
@@ -155,13 +154,13 @@ class SquareClass:
         return " + ".join(parts)
 
 
-def _weight(key: tuple[int, int, int, int]) -> int:
-    ia, idl, isb, ipt = key
-    return ia + idl + 2 * isb + 4 * ipt
+def _weight(key: tuple[int, int, int]) -> int:
+    ia, idl, isb = key
+    return ia + idl + 2 * isb
 
 
-def _monomial_str(key: tuple[int, int, int, int]) -> str:
-    names = ("alpha", "delta", "sbar", "pt")
+def _monomial_str(key: tuple[int, int, int]) -> str:
+    names = ("alpha", "delta", "sbar")
     parts = [
         name if e == 1 else f"{name}^{e}" for name, e in zip(names, key) if e > 0
     ]
@@ -178,52 +177,43 @@ def _as_square(value) -> "SquareClass | None":
     if isinstance(value, SquareClass):
         return value
     if isinstance(value, (int, Fraction)):
-        return SquareClass({(0, 0, 0, 0): UniPoly.constant(value)})
+        return SquareClass({(0, 0, 0): UniPoly.constant(value)})
     if isinstance(value, UniPoly):
-        return SquareClass({(0, 0, 0, 0): value})
+        return SquareClass({(0, 0, 0): value})
     return None
 
 
 def unit() -> SquareClass:
-    return SquareClass({(0, 0, 0, 0): UniPoly.constant(1)})
+    return SquareClass({(0, 0, 0): UniPoly.constant(1)})
 
 
 def alpha() -> SquareClass:
-    return SquareClass({(1, 0, 0, 0): UniPoly.constant(1)})
+    return SquareClass({(1, 0, 0): UniPoly.constant(1)})
 
 
 def delta() -> SquareClass:
-    return SquareClass({(0, 1, 0, 0): UniPoly.constant(1)})
+    return SquareClass({(0, 1, 0): UniPoly.constant(1)})
 
 
 def sbar() -> SquareClass:
-    return SquareClass({(0, 0, 1, 0): UniPoly.constant(1)})
+    return SquareClass({(0, 0, 1): UniPoly.constant(1)})
 
 
 def ell() -> SquareClass:
     """The weight-3 class l, stored in rewritten form sbar*delta."""
-    return SquareClass({(0, 1, 1, 0): UniPoly.constant(1)})
-
-
-def point() -> SquareClass:
-    return SquareClass({(0, 0, 0, 1): UniPoly.constant(1)})
+    return SquareClass({(0, 1, 1): UniPoly.constant(1)})
 
 
 def exceptional() -> SquareClass:
     """The exceptional divisor E = 2*delta."""
-    return SquareClass({(0, 1, 0, 0): UniPoly.constant(2)})
+    return SquareClass({(0, 1, 0): UniPoly.constant(2)})
 
 
 def segre2() -> SquareClass:
     """The weight-2 Segre class s2 = -24*sbar + 3*delta^2 = -c2."""
     return SquareClass(
-        {(0, 0, 1, 0): UniPoly.constant(-24), (0, 2, 0, 0): UniPoly.constant(3)}
+        {(0, 0, 1): UniPoly.constant(-24), (0, 2, 0): UniPoly.constant(3)}
     )
-
-
-def chern2() -> SquareClass:
-    """c2 = 24*sbar - 3*delta^2."""
-    return -segre2()
 
 
 def square_intersect(cls: SquareClass) -> UniPoly:
@@ -236,12 +226,7 @@ def square_intersect(cls: SquareClass) -> UniPoly:
     for key, coeff in cls.terms.items():
         if _weight(key) != 4:
             raise ValueError(f"cannot integrate weight-{_weight(key)} term {key}")
-        ia, idl, isb, ipt = key
-        if ipt:
-            # weight 4 with a pt factor forces the bare point class
-            total = total + coeff
-            continue
-        total = total + coeff * _TABLE[(ia, idl, isb)]
+        total = total + coeff * _TABLE[key]
     return total
 
 
@@ -320,7 +305,7 @@ def pb_top_intersect(cls: PBClass) -> UniPoly:
         if w % 2 == 1:
             continue
         if w == 0:
-            total = total + beta.terms.get((0, 0, 0, 0), UniPoly.zero()) * zeta7
+            total = total + beta.terms.get((0, 0, 0), UniPoly.zero()) * zeta7
         elif w == 2:
             total = total + square_intersect(segre2() * beta)
         else:  # w == 4
@@ -335,7 +320,7 @@ def z_class() -> PBClass:
         {
             0: unit() * 2,
             1: delta() * 2,
-            2: sbar() * 24 - SquareClass({(0, 2, 0, 0): UniPoly.constant(6)}),
+            2: sbar() * 24 - SquareClass({(0, 2, 0): UniPoly.constant(6)}),
         },
     )
 
@@ -397,22 +382,9 @@ def square_chern_table() -> dict:
     }
 
 
-_MINIMAL_ORDER = (
-    ("alpha^4", (4, 0, 0)),
-    ("alpha^3*delta", (3, 1, 0)),
-    ("alpha^2*delta^2", (2, 2, 0)),
-    ("alpha*delta^3", (1, 3, 0)),
-    ("delta^4", (0, 4, 0)),
-    ("alpha^2*sbar", (2, 0, 1)),
-    ("alpha*delta*sbar", (1, 1, 1)),
-    ("delta^2*sbar", (0, 2, 1)),
-    ("sbar^2", (0, 0, 2)),
-)
-
-
 def minimal_table() -> list[tuple[str, UniPoly]]:
     """The nine stored weight-4 rows, in display order."""
-    return [(label, _TABLE[key]) for label, key in _MINIMAL_ORDER]
+    return [(_monomial_str(key), value) for key, value in _TABLE.items()]
 
 
 def pushforward_rows() -> list[tuple[str, UniPoly]]:

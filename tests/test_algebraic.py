@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hktwist.algebraic import (
     AlgebraicReal,
+    _shares_root,
     _split,
     cauchy_bound,
     count_roots,
@@ -231,6 +233,144 @@ def test_one_remainder_sequence_matches_squarefree_part(planted, quadratics, low
         poly = poly * UniPoly((-v, 0, 1)) ** mult
     got = [(r.poly, r.lo, r.hi) for r in isolate_real_roots(poly)]
     assert got == [(r.poly, r.lo, r.hi) for r in _isolate_via_squarefree_part(poly)]
+
+
+# -- certification on the kernel against the Fraction walk --------------------
+#
+# The reference certifies each one-root Sturm interval (lo, hi] as the code
+# did before it stepped the integer kernel: while lo is a root (the neighbour
+# isolated to the left), halve on Fraction endpoints and keep the half whose
+# Sturm count is 1; then snap a rational root by halving a copy of the
+# interval below width 1/L.  It is driven by a copy of the ``_split``
+# recursion and reports how many walk steps it took.
+
+
+def _ref_snap_rational(poly, lo, hi):
+    lead = abs(poly.leading)
+    while (hi - lo) * lead > 1:
+        lo, hi = _halve(poly, lo, hi)
+        if lo == hi:
+            return lo
+    candidate = Fraction(math.floor(lo * lead) + 1, lead)
+    if candidate < hi and poly(candidate) == 0:
+        return candidate
+    return None
+
+
+def _ref_certify_single(poly, chain, lo, hi, walks):
+    if poly(hi) == 0:
+        return AlgebraicReal.from_rational(hi)
+    while poly(lo) == 0:
+        walks.append(lo)
+        mid = (lo + hi) / 2
+        if poly(mid) == 0:
+            return AlgebraicReal.from_rational(mid)
+        if count_roots(chain, lo, mid) == 1:
+            hi = mid
+        else:
+            lo = mid
+    candidate = _ref_snap_rational(poly, lo, hi)
+    if candidate is not None:
+        return AlgebraicReal.from_rational(candidate)
+    return AlgebraicReal(poly, lo, hi)
+
+
+def _ref_split(poly, chain, lo, hi, count, out, walks):
+    if count == 0:
+        return
+    if count == 1:
+        out.append(_ref_certify_single(poly, chain, lo, hi, walks))
+        return
+    mid = (lo + hi) / 2
+    left = count_roots(chain, lo, mid)
+    _ref_split(poly, chain, lo, mid, left, out, walks)
+    _ref_split(poly, chain, mid, hi, count - left, out, walks)
+
+
+def _certified_like_fraction_walk(poly):
+    """The new isolation equals the Fraction-walk reference; returns its walk steps."""
+    reduced = poly.squarefree_part().primitive()
+    chain = sturm_chain(reduced)
+    bound = cauchy_bound(reduced)
+    roots, walks = [], []
+    _ref_split(reduced, chain, -bound, bound, count_roots(chain, -bound, bound), roots, walks)
+    got = [(r.poly, r.lo, r.hi) for r in isolate_real_roots(poly)]
+    assert got == [(r.poly, r.lo, r.hi) for r in roots]
+    return len(walks)
+
+
+T = UniPoly.variable()
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        T * (T * T - 2),  # 0 is a split midpoint: sqrt(2)'s interval starts on it
+        (T - 1) * T * (T + 1),  # the walk lands on the rational root 1
+        T * (3 * T - 1),  # the walk lands on 1/3
+        T * (7 * T - 2) * (T * T - 3),  # the walk ends, then 2/7 is snapped
+        (T * T - 2) * (T * T - 8) * T,
+        (T + 1) * T * (2 * T - 3),
+    ],
+    ids=str,
+)
+def test_certification_walk_matches_fraction_walk(poly):
+    assert _certified_like_fraction_walk(poly) > 0
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.lists(_planted, min_size=1, max_size=3),
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=3),
+    st.integers(min_value=1, max_value=9),
+)
+def test_certification_matches_fraction_walk(planted, cofactor_low, cofactor_lead):
+    poly = UniPoly(cofactor_low + [cofactor_lead])
+    for d, whole, offset, mult, neighbour in planted:
+        m = whole * d + offset
+        poly = poly * UniPoly((-m, d)) ** mult
+        if neighbour:
+            poly = poly * UniPoly((-(m + 1), d))
+    _certified_like_fraction_walk(poly)
+
+
+# -- one shared-root test for compare and is_root_of --------------------------
+
+
+def _ref_is_root_of(x, poly):
+    """is_root_of as it was: the Sturm count of the square-free part of the gcd."""
+    if x.is_rational:
+        return poly(x.lo) == 0
+    common = x.poly.gcd(poly)
+    return common.degree >= 1 and count_roots(
+        sturm_chain(common.squarefree_part()), x.lo, x.hi
+    ) == 1
+
+
+def test_shared_root_with_repeated_factors():
+    """A hand-built sqrt(2) on a polynomial with a double root at 3."""
+    p = (T * T - 2) * (T - 3) ** 2
+    x = AlgebraicReal(p, Fraction(1), Fraction(2))
+    y = AlgebraicReal((T * T - 2) * (T - 3) ** 3, Fraction(5, 4), Fraction(3, 2))
+    sqrt2 = largest_real_root(T * T - 2)
+    assert sqrt2.poly == T * T - 2
+    assert x == sqrt2 and sqrt2 == x and x == y
+    assert x.compare(largest_real_root(T * T - 3)) == -1
+    assert x.compare(AlgebraicReal((T - 3) ** 2 * (T * T - 3), Fraction(1), Fraction(2))) == -1
+    # gcd(p, y.poly) = (t^2 - 2)(t - 3)^2 is not square-free
+    assert _shares_root(p, y.poly, Fraction(5, 4), Fraction(3, 2))
+    assert not _shares_root(p, (T - 3) ** 3, Fraction(1), Fraction(2))
+    for q, shared in (
+        (T * T - 2, True),
+        ((T * T - 2) ** 2, True),
+        ((T * T - 2) * (T - 3) ** 3, True),
+        ((T + 1) * (T * T - 2) ** 3 * (T - 3), True),
+        ((T - 3) ** 2, False),
+        (T * T - 3, False),
+        (T + 3, False),
+        (T * T + 2, False),
+    ):
+        assert x.is_root_of(q) == _ref_is_root_of(x, q) == shared, q
 
 
 # -- differential check against halving on Fraction endpoints ----------------

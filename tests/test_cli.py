@@ -236,3 +236,30 @@ def test_json_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "threshold", "--family", "K3_3", "--json")
     _, second, _ = run(capsys, "threshold", "--family", "K3_3", "--json")
     assert first == second
+
+
+FAMILY_COMMANDS = [
+    ("threshold",),
+    ("gamma-p", "--q", "32"),
+    ("cone-test", "--a", "2", "--q-delta", "32"),
+]
+
+
+@pytest.mark.parametrize("command", FAMILY_COMMANDS, ids=lambda c: c[0])
+def test_cube_note_follows_the_table_not_the_name(tmp_path, capsys, command):
+    from hktwist.family import preset
+    from hktwist.notes import NOTE_CUBE_DECIMAL
+
+    renamed_k3 = tmp_path / "renamed_k3.json"
+    renamed_k3.write_text(json.dumps(k3_document(name="K3_3")))
+    cube = preset("K3_3").to_json()
+    cube["name"] = "my cube"
+    renamed_cube = tmp_path / "renamed_cube.json"
+    renamed_cube.write_text(json.dumps(cube))
+    for path, expected in ((renamed_k3, False), (renamed_cube, True)):
+        code, out, _ = run(capsys, *command[:1], "--family", f"@{path}", *command[1:])
+        assert code == 0 and (NOTE_CUBE_DECIMAL in out) == expected, (path, out)
+        code, out, _ = run(capsys, *command[:1], "--family", f"@{path}", *command[1:], "--json")
+        assert code == 0 and (NOTE_CUBE_DECIMAL in json.loads(out)["notes"]) == expected
+    _, out, _ = run(capsys, "threshold", "--family", f"@{renamed_k3}")
+    assert "C = 8 exactly" in out
