@@ -56,7 +56,7 @@ def load_family(selector: str) -> HKFamily:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"family file {path!r} is not valid JSON: {exc}")
         try:
             return HKFamily.from_json(data)
@@ -97,17 +97,15 @@ def _threshold_notes(family: HKFamily) -> list[str]:
 def _cmd_threshold(args) -> tuple[dict, list[str], list[str]]:
     """``threshold`` and ``poly``: the polynomial, and for threshold its root C."""
     family = load_family(args.family)
+    record = threshold.threshold_record(family)
     fields, lines = _family_part(family)
-    segre = family.segre_pairings()
-    pairings = [format_rational(d) for d in segre]
-    if args.command == "poly":
-        poly, constant = threshold.build_threshold_poly(family, segre), None
-    else:
-        poly, constant = threshold.threshold_result(family, segre)
+    pairings = [format_rational(d) for d in record.pairings]
+    poly = record.poly
     fields.update(segre_pairings=pairings, polynomial=poly.to_json())
     lines.append("segre pairings (d_0 .. d_2n by omega-power): " + ", ".join(pairings))
     lines.append(f"p(t) = {poly.render()}")
     if args.command == "threshold":
+        constant = record.constant
         if constant is None:
             fields["constant"] = None
             lines.append(f"C = none ({poly.render()} has no real roots; every q > 0 passes)")

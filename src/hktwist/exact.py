@@ -4,8 +4,9 @@ Rationals are stdlib ``fractions.Fraction`` throughout the package: they
 already give canonical reduced p/q with arbitrary precision.  This module
 adds the text/JSON conventions used everywhere else (coefficient strings,
 6-significant-digit decimal rendering) and an immutable dense polynomial
-type with the exact operations the root isolator needs (euclidean division,
-gcd, square-free part, composition).
+type with exact euclidean division, gcd and composition.  The root isolator
+gets gcd(p, p') from its Sturm chain; ``squarefree_part`` is the tests'
+reference for it.
 
 Decimal strings are for display only; nothing in the package ever feeds a
 decimal back into a computation.

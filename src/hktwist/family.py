@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .exact import format_rational, parse_integer, parse_rational
@@ -57,7 +58,8 @@ class HKFamily:
                 )
         self.name = name
         self.n = n
-        self.pairings = table
+        # read-only, so that nothing cached from the table can go stale
+        self.pairings = MappingProxyType(table)
 
     @property
     def dimension(self) -> int:

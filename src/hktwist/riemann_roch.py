@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, isqrt
+from math import factorial
 from typing import NamedTuple
 
 from .exact import UniPoly, format_rational
@@ -160,36 +160,6 @@ def rr_match() -> dict:
     return {"top": top, "c2": c2_pairing, "equation1": equation1, "lhs": lhs, "rhs": rhs}
 
 
-def _exact_root(value: Fraction, k: int) -> Fraction:
-    """The exact rational k-th root of value, or raise if none exists."""
-    if value < 0:
-        raise ValueError("negative radicand")
-
-    def iroot(m: int) -> int:
-        r = isqrt(m) if k == 2 else _integer_root(m, k)
-        if r**k != m:
-            raise ValueError(f"{m} has no exact integer {k}-th root")
-        return r
-
-    return Fraction(iroot(value.numerator), iroot(value.denominator))
-
-
-def _integer_root(m: int, k: int) -> int:
-    """floor(m ** (1/k)) for an integer m >= 0, by integer Newton steps.
-
-    The start 2^ceil(bits/k) is at least the root, and from above the
-    iteration decreases monotonically to the floor root.
-    """
-    if m == 0:
-        return 0
-    x = 1 << -(-m.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + m // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
 @cache
 def cube_chern_numbers() -> tuple[Fraction, Fraction, Fraction]:
     """(c2^3, c2*c4, c6) for the Hilbert cube, from three facts (computed once).
@@ -220,8 +190,9 @@ def nieper_match() -> dict:
 
     The characteristic identity states that pairing sqrt(Td) against powers
     of L reproduces r6*(1 + mu*q)^3 with r6 the weight-6 sqrt-Todd number.
-    The q^3 and q^2 rows each determine mu (they must agree); the q^1 row
-    yields the second linear equation in A and B.
+    The q^3 row is mu^3*r6 and the q^2 row 3*mu^2*r6, so their quotient
+    gives mu, and the q^3 row must then read back; the q^1 row yields the
+    second linear equation in A and B.
     """
     root = sqrt_todd6()
     c2sq_coeff = root.coeff(_C2SQ)
@@ -231,16 +202,16 @@ def nieper_match() -> dict:
         + root.coeff(_C2C4) * triple[1]
         + root.coeff(_C6) * triple[2]
     )
-    # q^3 row: integral L^6/6! = 15/720 = mu^3 * r6
-    mu_from_cubic = _exact_root(Fraction(15, 720) / r6, 3)
-    # q^2 row: (sqrt-Td c2) * 108 / 4! = 3 mu^2 r6
-    lhs_q2 = root.coeff(_C2) * 108 / 24
-    mu_from_square = _exact_root(lhs_q2 / (3 * r6), 2)
-    if mu_from_cubic != mu_from_square:
+    matches = rr_match()
+    # q^3 row: integral L^6/6! = top/6! = mu^3 * r6
+    cubic_row = matches["top"] / factorial(6)
+    # q^2 row: (sqrt-Td c2) * (c2 pairing) / 4! = 3 mu^2 r6
+    square_row = root.coeff(_C2) * matches["c2"] / factorial(4)
+    mu = cubic_row / (square_row / 3)
+    if mu**3 * r6 != cubic_row:
         raise AssertionError(
-            f"lambda mismatch: {mu_from_cubic} vs {mu_from_square}"
+            f"lambda mismatch: mu = {mu} gives mu^3 r6 = {mu**3 * r6}, not {cubic_row}"
         )
-    mu = mu_from_cubic
     # q^1 row, conventional reading: the weight-4 sqrt-Todd component is
     # paired against L^2 with unit weight (no 1/2! here), giving
     # (7/5760)A - (1/1440)B = 3*mu*r6 and hence (7/4)A - B = 810.  The

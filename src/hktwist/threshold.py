@@ -10,44 +10,69 @@ is pseudoeffective whenever q(omega) >= C.  The positivity threshold
 gamma_p(q) is the smallest lambda with p(lambda^2 q) > 0 beyond it, i.e.
 sqrt(C/q) when C > 0.  All comparisons are exact; no epsilon enters any
 decision.
+
+Every question reads one ``Threshold`` record per family object: the
+pairings and the polynomial are built once, and C is isolated once, when
+first asked for.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import comb
+from weakref import WeakKeyDictionary
 
 from .algebraic import AlgebraicReal, isolate_real_roots
 from .exact import UniPoly
 from .family import HKFamily
 
 
-def build_threshold_poly(
-    family: HKFamily, pairings: list[Fraction] | None = None
-) -> UniPoly:
-    """p(t) = sum binom(4n-1, 2i) d_{2i} t^i from the Segre pairings.
+class Threshold:
+    """What every threshold question about one family reads: the Segre
+    pairings d_0, ..., d_{2n}, the threshold polynomial, and its largest
+    real root C, isolated on first use."""
 
-    ``pairings`` are ``family.segre_pairings()`` when the caller already
-    holds them; otherwise they are computed here.
-    """
-    n = family.n
-    if pairings is None:
-        pairings = family.segre_pairings()
-    return UniPoly(comb(4 * n - 1, 2 * i) * pairings[i] for i in range(n + 1))
+    def __init__(self, family: HKFamily):
+        self.pairings = tuple(family.segre_pairings())
+        n = family.n
+        self.poly = UniPoly(
+            comb(4 * n - 1, 2 * i) * d for i, d in enumerate(self.pairings)
+        )
+
+    @cached_property
+    def constant(self) -> AlgebraicReal | None:
+        """C, or None if the threshold polynomial has no real root."""
+        roots = isolate_real_roots(self.poly)
+        return roots[-1] if roots else None
+
+
+# One record per family object, dropped with the family.  A family's table
+# is read-only, so its record cannot go stale.
+_records: WeakKeyDictionary[HKFamily, Threshold] = WeakKeyDictionary()
+
+
+def threshold_record(family: HKFamily) -> Threshold:
+    """The family's threshold record, built on the first request."""
+    record = _records.get(family)
+    if record is None:
+        record = _records[family] = Threshold(family)
+    return record
+
+
+def build_threshold_poly(family: HKFamily) -> UniPoly:
+    """p(t) = sum binom(4n-1, 2i) d_{2i} t^i from the Segre pairings."""
+    return threshold_record(family).poly
 
 
 def constant_C(family: HKFamily) -> AlgebraicReal | None:
     """Largest real root of the threshold polynomial, or None if there is none."""
-    return threshold_result(family)[1]
+    return threshold_record(family).constant
 
 
-def threshold_result(
-    family: HKFamily, pairings: list[Fraction] | None = None
-) -> tuple[UniPoly, AlgebraicReal | None]:
+def threshold_result(family: HKFamily) -> tuple[UniPoly, AlgebraicReal | None]:
     """The threshold polynomial and its largest real root C (None if it has none)."""
-    poly = build_threshold_poly(family, pairings)
-    roots = isolate_real_roots(poly)
-    return poly, (roots[-1] if roots else None)
+    return build_threshold_poly(family), constant_C(family)
 
 
 def is_pseff_sufficient(family: HKFamily, qval: Fraction) -> bool:
@@ -60,9 +85,7 @@ def is_pseff_sufficient(family: HKFamily, qval: Fraction) -> bool:
     if qval < 0:
         raise ValueError("q(omega) of a nef and big class cannot be negative")
     c = constant_C(family)
-    if c is None:
-        return True
-    return c <= qval
+    return c is None or c <= qval
 
 
 def gamma_p(family: HKFamily, qval: Fraction) -> AlgebraicReal:
@@ -91,7 +114,7 @@ def pseff_cone_member(
 
     True iff a >= 0, the delta part is nef (caller-asserted), and
     q(delta) >= a^2 * C, all compared exactly.  When the threshold
-    polynomial has no real root the q-condition is vacuous.
+    polynomial has no real root, or a = 0, the q-condition is vacuous.
     """
     a = Fraction(a)
     q_delta = Fraction(q_delta)
@@ -100,9 +123,4 @@ def pseff_cone_member(
     if not delta_is_nef or a < 0:
         return False
     c = constant_C(family)
-    if c is None:
-        return True
-    if a == 0:
-        return True
-    return c.scale(a * a) <= q_delta
-
+    return c is None or a == 0 or c <= q_delta / (a * a)

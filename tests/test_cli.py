@@ -208,6 +208,8 @@ MALFORMED_FAMILY_FILES = [
     (json.dumps(k3_document(n=1e300, pairings=[
         {"monomial": {}, "omega_power": 2e300, "constant": "1"},
     ])), "no pairing for c2"),
+    # nested past the decoder's recursion limit
+    ("[" * 100000 + "]" * 100000, "is not valid JSON"),
 ]
 
 

@@ -1,10 +1,7 @@
 from fractions import Fraction
 
-import pytest
-
 from hktwist.family import preset
 from hktwist.riemann_roch import (
-    _exact_root,
     chi_cube_poly,
     cube_chern_numbers,
     derivation_trace,
@@ -115,15 +112,3 @@ def test_derivation_trace_mentions_key_steps():
     assert "7/4*A - B = 810" in text
     assert "lambda coefficient = 1/3" in text
     assert "top = 15, c2 = 108, c2^2 = 1848, c4 = 2424" in text
-
-
-def test_exact_root_of_huge_perfect_powers():
-    """Integer roots only: radicands far past the float range still work."""
-    base = Fraction(7 * 10**140 + 3, 11 * 10**5)
-    assert base**3 > 10**400
-    assert _exact_root(base**3, 3) == base
-    assert _exact_root(base**2, 2) == base
-    assert _exact_root(base**5, 5) == base
-    assert _exact_root(Fraction(0), 3) == 0
-    with pytest.raises(ValueError):
-        _exact_root(base**3 + 1, 3)

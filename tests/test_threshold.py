@@ -1,11 +1,15 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hktwist import algebraic, cli, threshold
 from hktwist.algebraic import AlgebraicReal
 from hktwist.exact import UniPoly
-from hktwist.family import preset
+from hktwist.family import HKFamily, PRESET_NAMES, preset
+from hktwist.series import UNIT
 from hktwist.threshold import (
     build_threshold_poly,
     constant_C,
@@ -122,3 +126,96 @@ def test_cone_membership_is_homogeneous(name, a, q_delta, s):
     direct = pseff_cone_member(fam, a, q_delta, True)
     scaled = pseff_cone_member(fam, s * a, s * s * q_delta, True)
     assert direct == scaled
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_one_record_answers_every_question(name, monkeypatch):
+    """One family object: one Segre pass and one isolation of its threshold
+    polynomial, whatever mix of questions is asked."""
+    family = preset(name)
+    pairing_runs = []
+    segre_pairings = HKFamily.segre_pairings
+
+    def counted_pairings(self):
+        pairing_runs.append(self)
+        return segre_pairings(self)
+
+    isolated = []
+
+    def counted_isolate(poly):
+        isolated.append(poly)
+        return algebraic.isolate_real_roots(poly)
+
+    monkeypatch.setattr(HKFamily, "segre_pairings", counted_pairings)
+    monkeypatch.setattr(threshold, "isolate_real_roots", counted_isolate)
+    poly, c = threshold_result(family)
+    assert constant_C(family) is c
+    assert build_threshold_poly(family) is poly
+    for q in (Fraction(1, 3), Fraction(6), Fraction(32)):
+        gamma_p(family, q)
+    for a, q_delta in ((Fraction(0), Fraction(0)), (Fraction(2), Fraction(31))):
+        pseff_cone_member(family, a, q_delta, True)
+    for q in (Fraction(5), Fraction(9)):
+        is_pseff_sufficient(family, q)
+    assert pairing_runs == [family]
+    assert sum(p == poly for p in isolated) == 1
+
+
+def test_poly_command_isolates_nothing(monkeypatch, capsys):
+    isolated = []
+
+    def counted_isolate(poly):
+        isolated.append(poly)
+        return algebraic.isolate_real_roots(poly)
+
+    for module in (threshold, cli):
+        monkeypatch.setattr(module, "isolate_real_roots", counted_isolate)
+    assert cli.main(["poly", "--family", "K3_3"]) == 0
+    assert "6930t^3" in capsys.readouterr().out
+    assert isolated == []
+
+
+def test_family_table_is_read_only():
+    family = preset("K3")
+    with pytest.raises(TypeError):
+        family.pairings[UNIT] = Fraction(2)
+
+
+def test_record_dies_with_its_family():
+    family = preset("K3_2")
+    assert constant_C(family) is not None
+    ref = weakref.ref(family)
+    del family
+    gc.collect()
+    assert ref() is None
+
+
+def _scaled_cone_rule(family, a, q_delta, delta_is_nef):
+    """The membership rule as it stood before the record: C scaled by a^2."""
+    if delta_is_nef and q_delta < 0:
+        raise ValueError("a nef class cannot have negative Beauville square")
+    if not delta_is_nef or a < 0:
+        return False
+    c = constant_C(family)
+    return c is None or a == 0 or c.scale(a * a) <= q_delta
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    _presets,
+    st.one_of(st.just(Fraction(0)), st.fractions(min_value=-6, max_value=12, max_denominator=6)),
+    st.one_of(st.none(), st.fractions(min_value=-4, max_value=80, max_denominator=6)),
+    st.booleans(),
+)
+def test_cone_membership_matches_the_scaled_rule(name, a, q_delta, nef):
+    """q_delta None stands for 8 a^2, the boundary of K3, where C = 8."""
+    if q_delta is None:
+        q_delta = 8 * a * a
+    family = preset(name)
+    try:
+        expected = _scaled_cone_rule(family, a, q_delta, nef)
+    except ValueError:
+        with pytest.raises(ValueError):
+            pseff_cone_member(family, a, q_delta, nef)
+        return
+    assert pseff_cone_member(family, a, q_delta, nef) is expected
