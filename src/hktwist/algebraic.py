@@ -499,16 +499,18 @@ def _split(
     count: int,
     out: list[AlgebraicReal],
 ) -> None:
-    """Recursively bisect (lo, hi] until each piece holds one root."""
-    if count == 0:
-        return
-    if count == 1:
-        out.append(_certify_single(poly, lo, hi))
-        return
-    mid = (lo + hi) / 2
-    left = count_roots(chain, lo, mid)
-    _split(poly, chain, lo, mid, left, out)
-    _split(poly, chain, mid, hi, count - left, out)
+    """Bisect (lo, hi] until each piece holds one root, leftmost first.  A stack,
+    not recursion: close roots need more levels than Python allows frames."""
+    pending = [(lo, hi, count)]
+    while pending:
+        lo, hi, count = pending.pop()
+        if count == 1:
+            out.append(_certify_single(poly, lo, hi))
+        elif count > 1:
+            mid = (lo + hi) / 2
+            left = count_roots(chain, lo, mid)
+            pending.append((mid, hi, count - left))
+            pending.append((lo, mid, left))
 
 
 def _certify_single(poly: UniPoly, lo: Fraction, hi: Fraction) -> AlgebraicReal:

@@ -35,8 +35,8 @@ SCHEMA = "1"
 def _rational_arg(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _digits_arg(text: str) -> int:

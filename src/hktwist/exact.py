@@ -23,10 +23,23 @@ RationalLike = Union[Fraction, int]
 
 DEFAULT_SIG_DIGITS = 6
 
+# Below the interpreter's default 4300-digit limit on printing an int.
+MAX_DIGITS = 4000
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" (ASCII or U+2212 minus) into a Fraction."""
+    """Parse "p/q", "p" or a decimal such as "1.5e-3" (ASCII or U+2212 minus)
+    into a Fraction.  A decimal exponent e costs time growing with |e|, so
+    text needing over ``MAX_DIGITS`` digits (length plus |e|) is refused first."""
     cleaned = text.strip().replace("−", "-")
+    if "e" in cleaned or "E" in cleaned:
+        mantissa, _, exponent = cleaned.replace("E", "e").partition("e")
+        try:
+            digits = len(mantissa) + abs(int(exponent))
+        except ValueError:  # no integer exponent: Fraction judges the text
+            digits = 0
+        if digits > MAX_DIGITS:
+            raise ValueError(f"exponent out of range in {text!r}: over {MAX_DIGITS} digits")
     try:
         return Fraction(cleaned)
     except (ValueError, ZeroDivisionError) as exc:

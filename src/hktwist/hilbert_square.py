@@ -13,19 +13,25 @@ eagerly.  Intersection numbers come from one minimal table of weight-4
 monomials; every other printed value is derived from it.
 
 P denotes the 7-dimensional projectivized cotangent bundle over X with
-tautological class zeta.  A class there is stored by its fiber degree D and
-pullback components: sum_w zeta^(D-w) * pi^*(beta_w).  Top intersections
-push forward through the Segre classes of X: zeta powers pair against
-s_{4-w}, and the odd pushforwards vanish because X has no odd Chern
-classes.
+tautological class zeta.  A class there is stored as its fiber degree D and
+one class beta on X: it is sum_w zeta^(D-w) * pi^*(beta_w), where beta_w is
+the weight-w part of beta.  Top intersections push forward through the
+Segre class s(X) = 1 + s2 + s4: zeta^(3+i) * pi^*(beta) integrates to
+s_i . beta on X (Fulton, *Intersection Theory*, section 3.1), so the
+integral over P is that of the weight-4 part of s(X) * beta.  X has no odd
+Chern classes, so odd weights never reach weight 4.  The one Chern number
+the table does not give, c4, is read from the K3_2 family table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Mapping
 
 from .exact import UniPoly, format_rational
+from .family import preset
+from .series import ChernMonomial
 
 # Weight-4 monomial values, keyed by exponents of (alpha, delta, sbar);
 # entries are polynomials in a (ascending coefficients).
@@ -40,11 +46,6 @@ _TABLE: dict[tuple[int, int, int], UniPoly] = {
     (0, 2, 1): UniPoly((-1,)),       # delta^2*sbar   = -1
     (0, 0, 2): UniPoly((1,)),        # sbar^2         = 1
 }
-
-# zeta^7 on P equals the s4-pairing of X: s2^2 - c4 = 828 - 324 = 504,
-# with c4 = 324 coming from the degree-4 Chern number 648 of the pullback
-# bundle on the two-to-one blow-up cover.
-C4_VALUE = Fraction(324)
 
 
 class SquareClass:
@@ -230,99 +231,69 @@ def square_intersect(cls: SquareClass) -> UniPoly:
     return total
 
 
-class PBClass:
-    """A class on the 7-fold P, decomposed along fiber degree.
+def _part(cls: SquareClass, weight: int) -> SquareClass:
+    return SquareClass({k: c for k, c in cls.terms.items() if _weight(k) == weight})
 
-    Stored as sum_w zeta^(degree - w) * pi^*(components[w]); the total
-    cohomological degree of every summand is ``degree``.
+
+@cache
+def _segre_class() -> SquareClass:
+    """s(X) = 1 + s2 + s4, with s4 = s2^2 - c4 * sbar^2 (sbar^2 is a point)."""
+    s2 = segre2()
+    c4 = preset("K3_2").pair(ChernMonomial({4: 1}))
+    return unit() + s2 + s2 * s2 - sbar() ** 2 * c4
+
+
+class PBClass:
+    """A class on the 7-fold P: sum_w zeta^(degree - w) * pi^*(beta_w).
+
+    ``beta`` is one class on X and beta_w its weight-w part; no weight may
+    exceed ``degree``, so every summand has cohomological degree ``degree``.
+    A product adds the degrees and multiplies the classes on X.
     """
 
-    __slots__ = ("degree", "components")
+    __slots__ = ("degree", "beta")
 
-    def __init__(self, degree: int, components: Mapping[int, SquareClass] = ()):
+    def __init__(self, degree: int, beta: SquareClass | int = 0):
+        beta = _as_square(beta)
         if degree < 0:
             raise ValueError("negative degree")
-        cleaned: dict[int, SquareClass] = {}
-        for w, cls in dict(components).items():
-            if w < 0 or w > 4 or degree - w < 0:
-                raise ValueError(f"component weight {w} out of range for degree {degree}")
-            if not isinstance(cls, SquareClass):
-                cls = _as_square(cls)
-            filtered = SquareClass(
-                {k: c for k, c in cls.terms.items() if _weight(k) == w}
-            )
-            if filtered.terms != cls.terms:
-                raise ValueError(f"component at weight {w} has mixed weights")
-            if not cls.is_zero:
-                cleaned[w] = cls
+        if max(beta.weights(), default=0) > degree:
+            raise ValueError(f"a weight of {beta} exceeds the fiber degree {degree}")
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "components", cleaned)
+        object.__setattr__(self, "beta", beta)
 
     def __setattr__(self, name, value):
         raise AttributeError("PBClass is immutable")
 
     def component(self, weight: int) -> SquareClass:
-        return self.components.get(weight, SquareClass())
+        return _part(self.beta, weight)
 
     def __mul__(self, other: "PBClass") -> "PBClass":
         if not isinstance(other, PBClass):
             return NotImplemented
-        out: dict[int, SquareClass] = {}
-        for w1, c1 in self.components.items():
-            for w2, c2 in other.components.items():
-                w = w1 + w2
-                if w > 4:
-                    continue
-                prod = c1 * c2
-                out[w] = out.get(w, SquareClass()) + prod
-        return PBClass(self.degree + other.degree, out)
+        return PBClass(self.degree + other.degree, self.beta * other.beta)
 
     def __pow__(self, exponent: int) -> "PBClass":
-        if exponent < 0:
-            raise ValueError("negative power")
-        result = PBClass(0, {0: unit()})
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return PBClass(self.degree * exponent, self.beta**exponent)
 
     def __repr__(self) -> str:
-        return f"PBClass({self.degree}, {self.components!r})"
+        return f"PBClass({self.degree}, {self.beta!r})"
 
 
 def pb_top_intersect(cls: PBClass) -> UniPoly:
     """Integrate a degree-7 class over P; result is a polynomial in a.
 
-    Pushforward rules: zeta^7 integrates to 504 (= s2^2 - c4 = 828 - 324);
-    zeta^5 * pi^*(beta_2) pairs beta_2 against s2; zeta^3 * pi^*(beta_4)
-    integrates beta_4 directly; zeta^6 and zeta^4 kill the odd-weight
-    components because the odd Segre classes of X vanish.
+    zeta^(7-w) * pi^*(beta_w) pushes forward to s_{4-w} . beta_w, so the
+    integral is that of the weight-4 part of s(X) * beta over X.
     """
     if cls.degree != 7:
         raise ValueError(f"top intersection needs total degree 7, got {cls.degree}")
-    zeta7 = square_intersect(segre2() * segre2()) - C4_VALUE
-    total = UniPoly.zero()
-    for w, beta in cls.components.items():
-        if w % 2 == 1:
-            continue
-        if w == 0:
-            total = total + beta.terms.get((0, 0, 0), UniPoly.zero()) * zeta7
-        elif w == 2:
-            total = total + square_intersect(segre2() * beta)
-        else:  # w == 4
-            total = total + square_intersect(beta)
-    return total
+    return square_intersect(_part(_segre_class() * cls.beta, 4))
 
 
 def z_class() -> PBClass:
     """The incidence-divisor class 2*zeta^2 + 2*zeta*pi^*(delta) + pi^*(24*sbar - 6*delta^2)."""
-    return PBClass(
-        2,
-        {
-            0: unit() * 2,
-            1: delta() * 2,
-            2: sbar() * 24 - SquareClass({(0, 2, 0): UniPoly.constant(6)}),
-        },
-    )
+    return PBClass(2, unit() * 2 + delta() * 2 + sbar() * 24 - delta() ** 2 * 6)
 
 
 def z_pairing() -> UniPoly:
@@ -331,7 +302,7 @@ def z_pairing() -> UniPoly:
     Returned as an exact polynomial in a = alpha_S^2; its sign governs
     pseudoeffectivity of the twisted class against the incidence divisor.
     """
-    omega = PBClass(1, {0: unit(), 1: alpha() - delta()})
+    omega = PBClass(1, unit() + alpha() - delta())
     return pb_top_intersect(omega**5 * z_class())
 
 
@@ -360,26 +331,28 @@ def kahler_criterion(a_value: Fraction | None = None):
 def square_chern_table() -> dict:
     """Derived characteristic-class pairings of X, self-checked.
 
-    Returns {s2 (class), s2^2, s4, c4} and verifies the derived zeta^5 rows
-    against the minimal table before returning; a mismatch means a table
-    entry was mistyped.
+    Returns {s2 (class), s2^2, s4, c4} and verifies the minimal table
+    against the K3_2 family table before returning: alpha^4 = top * a^2,
+    -s2 . alpha^2 = (c2 pairing) * a and s2^2 = (c2^2 pairing), with
+    q(alpha) = a, and the derived row s2 . delta^2 = 60.  A mismatch means
+    a table entry was mistyped.
     """
+    family = preset("K3_2")
+    top, c2, c2_sq, c4 = (
+        family.pair(ChernMonomial(m)) for m in ({}, {2: 1}, {2: 2}, {4: 1})
+    )
     s2 = segre2()
-    s2_sq = square_intersect(s2 * s2)
-    if s2_sq != UniPoly.constant(828):
-        raise AssertionError(f"s2^2 evaluated to {s2_sq}, expected 828")
-    row_delta2 = square_intersect(s2 * delta() * delta())
-    if row_delta2 != UniPoly.constant(60):
-        raise AssertionError(f"s2.delta^2 evaluated to {row_delta2}, expected 60")
-    row_alpha2 = square_intersect(s2 * alpha() * alpha())
-    if row_alpha2 != UniPoly((0, -30)):
-        raise AssertionError(f"s2.alpha^2 evaluated to {row_alpha2}, expected -30a")
-    return {
-        "s2": s2,
-        "s2^2": Fraction(828),
-        "s4": Fraction(828) - C4_VALUE,
-        "c4": C4_VALUE,
-    }
+    checks = (
+        ("alpha^4", alpha() ** 4, UniPoly((0, 0, top))),
+        ("-s2.alpha^2", -s2 * alpha() ** 2, UniPoly((0, c2))),
+        ("s2^2", s2 * s2, UniPoly.constant(c2_sq)),
+        ("s2.delta^2", s2 * delta() ** 2, UniPoly.constant(60)),
+    )
+    for label, cls, expected in checks:
+        value = square_intersect(cls)
+        if value != expected:
+            raise AssertionError(f"{label} evaluated to {value}, expected {expected}")
+    return {"s2": s2, "s2^2": c2_sq, "s4": c2_sq - c4, "c4": c4}
 
 
 def minimal_table() -> list[tuple[str, UniPoly]]:
@@ -390,12 +363,12 @@ def minimal_table() -> list[tuple[str, UniPoly]]:
 def pushforward_rows() -> list[tuple[str, UniPoly]]:
     """Degree-7 pairings on P, each computed from the minimal table."""
     return [
-        ("zeta^7", pb_top_intersect(PBClass(7, {0: unit()}))),
-        ("zeta^5*sbar", pb_top_intersect(PBClass(7, {2: sbar()}))),
-        ("zeta^5*delta^2", pb_top_intersect(PBClass(7, {2: delta() ** 2}))),
-        ("zeta^5*alpha*delta", pb_top_intersect(PBClass(7, {2: alpha() * delta()}))),
-        ("zeta^5*alpha^2", pb_top_intersect(PBClass(7, {2: alpha() ** 2}))),
-        ("zeta^3*sbar*delta^2", pb_top_intersect(PBClass(7, {4: sbar() * delta() ** 2}))),
-        ("zeta^3*delta^4", pb_top_intersect(PBClass(7, {4: delta() ** 4}))),
-        ("zeta^3*sbar^2", pb_top_intersect(PBClass(7, {4: sbar() ** 2}))),
+        ("zeta^7", pb_top_intersect(PBClass(7, unit()))),
+        ("zeta^5*sbar", pb_top_intersect(PBClass(7, sbar()))),
+        ("zeta^5*delta^2", pb_top_intersect(PBClass(7, delta() ** 2))),
+        ("zeta^5*alpha*delta", pb_top_intersect(PBClass(7, alpha() * delta()))),
+        ("zeta^5*alpha^2", pb_top_intersect(PBClass(7, alpha() ** 2))),
+        ("zeta^3*sbar*delta^2", pb_top_intersect(PBClass(7, sbar() * delta() ** 2))),
+        ("zeta^3*delta^4", pb_top_intersect(PBClass(7, delta() ** 4))),
+        ("zeta^3*sbar^2", pb_top_intersect(PBClass(7, sbar() ** 2))),
     ]

@@ -27,6 +27,11 @@ from .algebraic import AlgebraicReal, isolate_real_roots
 from .exact import UniPoly
 from .family import HKFamily
 
+# gamma_p's time grows with the size of q (its polynomial carries powers of
+# q).  At 10^MAX_Q_DIGITS the slowest preset, K3_2 at q = 10^-100, takes
+# about 0.4 s on a 2-core VM; a larger numerator or denominator is refused.
+MAX_Q_DIGITS = 100
+
 
 class Threshold:
     """What every threshold question about one family reads: the Segre
@@ -94,11 +99,13 @@ def gamma_p(family: HKFamily, qval: Fraction) -> AlgebraicReal:
     Computed without forming a quotient: the substitution t -> qval * s^2
     turns the threshold polynomial in t into one in s whose largest real
     root is exactly sqrt(C/qval).  When every real root of p is <= 0 (or p
-    has none) the threshold is 0.
+    has none) the threshold is 0.  A q past ``MAX_Q_DIGITS`` is refused.
     """
     qval = Fraction(qval)
     if qval <= 0:
         raise ValueError("gamma_p needs a positive q value")
+    if max(qval.numerator, qval.denominator) > 10**MAX_Q_DIGITS:
+        raise ValueError(f"gamma_p needs q's numerator and denominator at most 10^{MAX_Q_DIGITS}")
     poly = build_threshold_poly(family)
     substituted = poly.compose(UniPoly((0, 0, qval)))
     roots = isolate_real_roots(substituted)

@@ -601,3 +601,20 @@ def test_decimal_1000_makes_bounded_calls(monkeypatch):
     doc = z.to_json(1000)
     assert text == doc["decimal"] and text.startswith("9.65685424949238019520")
     assert counts["call"] <= 10 and counts["init"] <= 10
+
+
+def test_close_roots_need_no_frame_per_bisection_level():
+    """Roots 10^-400 apart take about 1330 bisection levels to separate,
+    more than the interpreter's recursion limit."""
+    eps = Fraction(1, 10**400)
+    roots = isolate_real_roots(UniPoly((-1, 1)) * UniPoly((-1 - eps, 1)))
+    assert [root.rational_value() for root in roots] == [1, 1 + eps]
+
+
+def test_gamma_polynomial_with_a_tiny_q_isolates():
+    from hktwist.family import preset
+    from hktwist.threshold import build_threshold_poly
+
+    q = Fraction(1, 10**200)
+    poly = build_threshold_poly(preset("K3_2")).compose(UniPoly((0, 0, q)))
+    assert isolate_real_roots(poly)[-1].decimal(6) == "2.24708E+100"

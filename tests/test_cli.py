@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +216,59 @@ MALFORMED_FAMILY_FILES = [
     # nested past the decoder's recursion limit
     ("[" * 100000 + "]" * 100000, "is not valid JSON"),
 ]
+
+
+def _close_roots_document():
+    """An n = 2 table whose polynomial is (t - 1)(t - 1 - 10^-400): its two
+    roots need more bisection levels than the interpreter allows frames."""
+    eps = Fraction(1, 10**400)
+    constants = ((4, {}, Fraction(1, 35)), (2, {"2": 1}, (2 + eps) / 21),
+                 (0, {"2": 2}, 1 + eps), (0, {"4": 1}, Fraction(0)))
+    return {"name": "close roots", "n": 2, "pairings": [
+        {"monomial": m, "omega_power": power, "constant": str(c)}
+        for power, m, c in constants
+    ]}
+
+
+# Inputs that once crashed or ran without bound: (arguments, with "@FILE" for
+# the family file, the family file's document or None, exit code, a fragment
+# of the one stderr line, or of stdout on success).
+HOSTILE_ARGUMENTS = [
+    (("gamma-p", "--family", "K3_2", "--q", "1e-200"), None, 1, "at most 10^100"),
+    (("gamma-p", "--family", "K3_3", "--q", "1e-1000"), None, 1, "at most 10^100"),
+    (("cone-test", "--family", "K3", "--a", "1e5000", "--q-delta", "1"), None, 2,
+     "exponent out of range"),
+    (("gamma-p", "--family", "K3", "--q", "1e-10000000"), None, 2, "exponent out of range"),
+    (("threshold", "--family", "@FILE"),
+     k3_document(name="huge exponent", constant="1e-10000000"), 1, "exponent out of range"),
+    (("threshold", "--family", "@FILE"), _close_roots_document(), 0,
+     f"C = {1 + Fraction(1, 10**400)} exactly"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, document, code, message",
+    HOSTILE_ARGUMENTS,
+    ids=[" ".join(a).replace("FILE", d["name"] if d else "") for a, d, *_ in HOSTILE_ARGUMENTS],
+)
+def test_hostile_arguments_end_quickly_and_cleanly(tmp_path, argv, document, code, message):
+    family = tmp_path / "family.json"
+    if document is not None:
+        family.write_text(json.dumps(document))
+    argv = [f"@{family}" if a == "@FILE" else a for a in argv]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, COLUMNS="200")  # argparse's usage on one line
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-m", "hktwist", *argv],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    lines = result.stderr.splitlines()
+    if result.returncode == 2 and lines and lines[0].startswith("usage: "):
+        lines = lines[1:]  # a usage error prints argparse's usage line first
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr and len(lines) <= 1, result.stderr
+    assert message in (result.stdout if code == 0 else result.stderr)
 
 
 def test_family_file_errors(tmp_path, capsys):

@@ -5,6 +5,19 @@ import pytest
 from hktwist.exact import UniPoly, decimal_str, format_rational, parse_rational
 
 
+def test_parse_rational_refuses_huge_exponents():
+    """Refused from the text alone: 10^10000000 would take seconds to build
+    and could not be printed."""
+    assert parse_rational("1.5e-3") == Fraction(3, 2000)
+    assert parse_rational("1E3999") == 10**3999  # mantissa length 1 + 3999 digits
+    assert parse_rational("-1e-3998") == Fraction(-1, 10**3998)
+    for text in ("1e4000", "1e-4000", "1e3_999_0", "−1E+5000", "1e-10000000"):
+        with pytest.raises(ValueError, match="exponent out of range"):
+            parse_rational(text)
+    with pytest.raises(ValueError):
+        parse_rational("1e" + "9" * 5000)
+
+
 def test_parse_rational_forms():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-2") == Fraction(-2)

@@ -62,11 +62,11 @@ def test_pushforward_rows():
 
 def test_pushforward_requires_degree7():
     with pytest.raises(ValueError):
-        pb_top_intersect(PBClass(5, {0: unit()}))
+        pb_top_intersect(PBClass(5, unit()))
 
 
 def test_odd_pullback_weights_vanish():
-    assert pb_top_intersect(PBClass(7, {1: delta(), 3: ell()})).is_zero
+    assert pb_top_intersect(PBClass(7, delta() + ell())).is_zero
 
 
 def test_z_class_components():
@@ -133,6 +133,17 @@ def test_segre2_squared_from_minimal_table():
 
 def test_pbclass_validates_components():
     with pytest.raises(ValueError):
-        PBClass(2, {3: delta()})  # component weight above fiber degree
+        PBClass(2, ell())  # weight above the fiber degree
     with pytest.raises(ValueError):
-        PBClass(1, {1: delta() + sbar()})  # mixed weight
+        PBClass(-1)
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_pushforward_agrees_with_closed_form_segre_pairings(j):
+    # zeta^(7-2j) . pi^*(alpha^(2j)) pushes forward to s_{4-2j} . alpha^(2j) = d_{2j} a^j
+    from hktwist.family import preset
+
+    d = preset("K3_2").segre_pairings()
+    assert d == [504, -30, 3]
+    expected = UniPoly([0] * j + [d[j]])
+    assert pb_top_intersect(PBClass(7, alpha() ** (2 * j))) == expected

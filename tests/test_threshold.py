@@ -219,3 +219,15 @@ def test_cone_membership_matches_the_scaled_rule(name, a, q_delta, nef):
             pseff_cone_member(family, a, q_delta, nef)
         return
     assert pseff_cone_member(family, a, q_delta, nef) is expected
+
+
+def test_gamma_p_refuses_q_past_the_size_bound():
+    from hktwist.threshold import MAX_Q_DIGITS
+
+    bound = 10**MAX_Q_DIGITS
+    family = preset("K3")  # gamma_p(q) = sqrt(8/q)
+    assert gamma_p(family, Fraction(8, bound)).rational_value() == 10**50
+    assert gamma_p(family, Fraction(bound, bound - 1)).decimal(6) == "2.82843"
+    for q in (Fraction(1, bound + 1), Fraction(bound + 1), Fraction(bound + 1, bound)):
+        with pytest.raises(ValueError, match="at most 10"):
+            gamma_p(family, q)
