@@ -13,7 +13,7 @@ caution notes.  ``main`` adds the envelope, ``schema``/``command``/``notes``
 to the JSON document or one ``note:`` line per note to the text.
 
 Exit codes: 0 success, 1 domain error (unknown family, bad family file,
-out-of-range q), 2 usage error.
+out-of-range q, too large a polynomial), 2 usage error (or too many digits).
 """
 
 from __future__ import annotations
@@ -23,13 +23,18 @@ import json
 import sys
 from fractions import Fraction
 
-from . import hilbert_square as hs
-from . import notes, riemann_roch, threshold
+from . import notes, threshold
 from .algebraic import AlgebraicReal, isolate_real_roots
 from .exact import format_rational, parse_rational
 from .family import HKFamily, PRESET_NAMES, preset
 
 SCHEMA = "1"
+
+# Refining to d digits takes time growing faster than d^2 (gamma-p on K3_3 at
+# q = 10^-100: 1.6 s at 1500, 14 s at 4000, 2-core VM), and an interval
+# endpoint has about d digits plus the polynomial's, up to 2400 within
+# threshold.MAX_POLY_BITS, which must print below the 4300-digit int limit.
+MAX_DISPLAY_DIGITS = 1500
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -44,8 +49,8 @@ def _digits_arg(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("digits must be at least 1")
+    if not 1 <= value <= MAX_DISPLAY_DIGITS:
+        raise argparse.ArgumentTypeError(f"digits must be between 1 and {MAX_DISPLAY_DIGITS}")
     return value
 
 
@@ -155,6 +160,7 @@ def _cmd_cone_test(args) -> tuple[dict, list[str], list[str]]:
 
 
 def _cmd_square_table(args) -> tuple[dict, list[str], list[str]]:
+    from . import hilbert_square as hs
     minimal = hs.minimal_table()
     derived = hs.pushforward_rows()
     table = hs.square_chern_table()
@@ -179,6 +185,7 @@ def _cmd_square_table(args) -> tuple[dict, list[str], list[str]]:
 
 
 def _cmd_square_z(args) -> tuple[dict, list[str], list[str]]:
+    from . import hilbert_square as hs
     poly = hs.z_pairing()
     top = isolate_real_roots(poly)[-1]
     fields = {"polynomial": poly.to_json(), "largest_root": top.to_json(args.digits), "at": None}
@@ -195,6 +202,7 @@ def _cmd_square_z(args) -> tuple[dict, list[str], list[str]]:
 
 
 def _cmd_square_kahler(args) -> tuple[dict, list[str], list[str]]:
+    from . import hilbert_square as hs
     labels = ("omega^4", "omega^3*E", "omega^2*sbar", "omega*l")
     polys = hs.kahler_criterion()
     values, positive = hs.kahler_criterion(args.alpha_sq)
@@ -214,6 +222,7 @@ def _cmd_square_kahler(args) -> tuple[dict, list[str], list[str]]:
 
 
 def _cmd_derive(args) -> tuple[dict, list[str], list[str]]:
+    from . import riemann_roch
     record = riemann_roch.derivation()
     nieper = record.nieper
     fields = {

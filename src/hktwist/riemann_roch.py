@@ -1,7 +1,8 @@
 """Riemann-Roch pipeline re-deriving the Hilbert-cube pairing constants.
 
 The chain: expand the Todd series through weight 6 from its generating
-function x/(1 - e^{-x}) (via Newton power sums, odd Chern classes zero);
+function x/(1 - e^{-x}) (via Newton power sums, odd Chern classes zero,
+and the exponential series applied to its logarithm);
 match the Riemann-Roch expansion of chi(L) against the Hilbert-scheme
 Euler-characteristic cubic in q = q(L); extract a second linear equation
 from the square-root-of-Todd characteristic identity; solve the resulting
@@ -73,21 +74,6 @@ def _power_sums() -> dict[int, GradedSeries]:
     return p
 
 
-def _series_exp(a: GradedSeries) -> GradedSeries:
-    """exp of a series with zero constant term (finite under truncation)."""
-    if a.constant != 0:
-        raise ValueError("exp needs zero constant term")
-    result = GradedSeries.one(a.truncation)
-    power = GradedSeries.one(a.truncation)
-    k = 1
-    while True:
-        power = power * a
-        if not power.terms:
-            return result
-        result = result + power * Fraction(1, factorial(k))
-        k += 1
-
-
 @cache
 def todd6() -> GradedSeries:
     """The Todd series through weight 6 in the symbols c2, c4, c6 (computed once)."""
@@ -96,7 +82,7 @@ def todd6() -> GradedSeries:
     log_td = GradedSeries(TRUNCATION)
     for k in range(2, TRUNCATION + 1):
         log_td = log_td + psums[k] * logq[k]
-    return _series_exp(log_td)
+    return log_td._apply(lambda k: Fraction(1, factorial(k)))
 
 
 def sqrt_todd6() -> GradedSeries:
@@ -106,6 +92,21 @@ def sqrt_todd6() -> GradedSeries:
 # -- the q-expansion bookkeeping -------------------------------------------
 # A polynomial in the formal variable q is the tuple of its GradedSeries
 # coefficients, the q^k coefficient at index k.
+
+
+def _normalized(a: Fraction, b: Fraction, rhs: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """The equation a*A + b*B = rhs, rescaled so that its B coefficient is -1."""
+    scale = -1 / b
+    return a * scale, Fraction(-1), rhs * scale
+
+
+def _solve2(eq1: tuple, eq2: tuple) -> tuple[Fraction, Fraction]:
+    """(A, B) solving both equations (a, b, rhs) of a*A + b*B = rhs (Cramer's rule)."""
+    (a1, b1, r1), (a2, b2, r2) = eq1, eq2
+    det = a1 * b2 - a2 * b1
+    if det == 0:
+        raise AssertionError("degenerate linear system")
+    return (r1 * b2 - r2 * b1) / det, (a1 * r2 - a2 * r1) / det
 
 
 def rr_lhs() -> tuple[GradedSeries, ...]:
@@ -149,12 +150,7 @@ def rr_match() -> dict:
     rhs = rr_rhs()
     top = rhs[3].constant / lhs[3].coeff(UNIT)
     c2_pairing = rhs[2].constant / lhs[2].coeff(_C2)
-    a_factor = lhs[1].coeff(_C2SQ)
-    b_factor = lhs[1].coeff(_C4)
-    rhs_q1 = rhs[1].constant
-    # normalize so the B coefficient is -1
-    scale = -1 / b_factor
-    equation1 = (a_factor * scale, Fraction(-1), rhs_q1 * scale)
+    equation1 = _normalized(lhs[1].coeff(_C2SQ), lhs[1].coeff(_C4), rhs[1].constant)
     if top != 15 or c2_pairing != 108:
         raise AssertionError(f"unexpected match: top={top}, c2={c2_pairing}")
     return {"top": top, "c2": c2_pairing, "equation1": equation1, "lhs": lhs, "rhs": rhs}
@@ -174,11 +170,7 @@ def cube_chern_numbers() -> tuple[Fraction, Fraction, Fraction]:
     kb = td.coeff(_C2C4)
     kc = td.coeff(_C6)
     # ka*A + kb*B = chi(O) - kc*c6;  -A + 2B = s6 + c6
-    r1 = CUBE_CHI_O - kc * CUBE_EULER
-    r2 = CUBE_SEGRE6 + CUBE_EULER
-    det = ka * 2 - kb * (-1)
-    a = (r1 * 2 - kb * r2) / det
-    b = (ka * r2 - r1 * (-1)) / det
+    a, b = _solve2((ka, kb, CUBE_CHI_O - kc * CUBE_EULER), (-1, 2, CUBE_SEGRE6 + CUBE_EULER))
     todd_constant = ka * a + kb * b + kc * CUBE_EULER
     if todd_constant != CUBE_CHI_O:
         raise AssertionError(f"Todd constant check failed: {todd_constant}")
@@ -217,11 +209,7 @@ def nieper_match() -> dict:
     # (7/5760)A - (1/1440)B = 3*mu*r6 and hence (7/4)A - B = 810.  The
     # fully factorial-weighted reading would double the right side; the
     # adopted convention is the one the solved constants satisfy.
-    rhs_q1 = 3 * mu * r6
-    a_factor = root.terms[_C2SQ]
-    b_factor = root.terms[_C4]
-    scale = -1 / b_factor
-    equation2 = (a_factor * scale, Fraction(-1), rhs_q1 * scale)
+    equation2 = _normalized(root.terms[_C2SQ], root.terms[_C4], 3 * mu * r6)
     return {
         "lambda": mu,
         "equation2": equation2,
@@ -251,14 +239,9 @@ def derivation() -> Derivation:
     """
     matches = rr_match()
     nieper = nieper_match()
-    a1, b1, r1 = matches["equation1"]
-    a2, b2, r2 = nieper["equation2"]
-    det = a1 * b2 - a2 * b1
-    if det == 0:
-        raise AssertionError("degenerate linear system")
-    big_a = (r1 * b2 - r2 * b1) / det
-    big_b = (a1 * r2 - a2 * r1) / det
+    big_a, big_b = _solve2(matches["equation1"], nieper["equation2"])
     # the q^1 characteristic identity, re-read with the solved values
+    a2, _, r2 = nieper["equation2"]
     if a2 * big_a - big_b != r2:
         raise AssertionError("equation 2 does not hold for the solved pair")
     constants = {UNIT: matches["top"], _C2: matches["c2"], _C2SQ: big_a, _C4: big_b}

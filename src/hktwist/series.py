@@ -8,14 +8,17 @@ above N, which is exactly the arithmetic of characteristic classes on a
 manifold of complex dimension N.
 
 Inverse and square root are defined for series with constant term 1 and
-are computed degree by degree; both are exact and terminate because each
-weight component depends only on lower ones.
+follow one power-series rule: for a = 1 + x, each is f(x) = sum_k f_k x^k
+with f the geometric series for 1/(1+x) or the binomial series for
+sqrt(1+x) (Fulton, Intersection Theory, 3.2).  The sum is finite because
+x^k has weight at least 2k, and exact because every f_k is rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import factorial, prod
+from typing import Callable, Iterable, Mapping
 
 from .exact import format_rational, parse_integer, parse_rational
 
@@ -197,48 +200,30 @@ class GradedSeries:
         """Multiplicative inverse of a series with constant term 1."""
         if self.constant != 1:
             raise ValueError("inverse requires constant term 1")
-        return self._solve_triangular()
+        return (self - 1)._apply(lambda k: (-1) ** k)
 
     def sqrt(self) -> "GradedSeries":
         """Square root with constant term 1, for a series with constant term 1."""
         if self.constant != 1:
             raise ValueError("sqrt requires constant term 1")
-        result: dict[ChernMonomial, Fraction] = {UNIT: Fraction(1)}
-        for weight in range(1, self.truncation + 1):
-            # a_w = 2*s_w + sum_{0<v<w} s_v*s_{w-v}  (component identity of s*s = a)
-            cross: dict[ChernMonomial, Fraction] = {}
-            for m1, c1 in result.items():
-                if not 0 < m1.weight < weight:
-                    continue
-                for m2, c2 in result.items():
-                    if m2.weight != weight - m1.weight:
-                        continue
-                    prod = m1 * m2
-                    cross[prod] = cross.get(prod, Fraction(0)) + c1 * c2
-            target = self.component(weight)
-            for monomial in set(cross) | set(target):
-                value = (target.get(monomial, Fraction(0)) - cross.get(monomial, Fraction(0))) / 2
-                if value:
-                    result[monomial] = value
-        return GradedSeries(self.truncation, result)
+        # binom(1/2, k) = prod_{j<k} (1/2 - j) / k!
+        return (self - 1)._apply(
+            lambda k: Fraction(prod(Fraction(1, 2) - j for j in range(k)), factorial(k))
+        )
 
-    def _solve_triangular(self) -> "GradedSeries":
-        # r_w with r*self = 1: r_w = -(sum_{0<v<=w} a_v * r_{w-v})
-        result: dict[ChernMonomial, Fraction] = {UNIT: Fraction(1)}
-        for weight in range(1, self.truncation + 1):
-            acc: dict[ChernMonomial, Fraction] = {}
-            for m1, c1 in self.terms.items():
-                if not 0 < m1.weight <= weight:
-                    continue
-                for m2, c2 in result.items():
-                    if m2.weight != weight - m1.weight:
-                        continue
-                    prod = m1 * m2
-                    acc[prod] = acc.get(prod, Fraction(0)) + c1 * c2
-            for monomial, value in acc.items():
-                if value:
-                    result[monomial] = result.get(monomial, Fraction(0)) - value
-        return GradedSeries(self.truncation, result)
+    def _apply(self, coeff: Callable[[int], Fraction | int]) -> "GradedSeries":
+        """sum_k coeff(k) * self^k for a series with constant term 0.
+
+        Every Chern symbol has weight at least 2, so self^k vanishes once 2k
+        passes the truncation; the finite sum is evaluated by Horner's rule.
+        """
+        if self.constant != 0:
+            raise ValueError("a power series is applied to a series with constant term 0")
+        top = self.truncation // 2
+        result = GradedSeries(self.truncation, {UNIT: coeff(top)})
+        for k in range(top - 1, -1, -1):
+            result = result * self + coeff(k)
+        return result
 
     # -- rendering / serialization ------------------------------------
 

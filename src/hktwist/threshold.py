@@ -32,6 +32,25 @@ from .family import HKFamily
 # about 0.4 s on a 2-core VM; a larger numerator or denominator is refused.
 MAX_Q_DIGITS = 100
 
+# A polynomial to isolate is refused when its size passes MAX_POLY_BITS: the
+# larger of its degree times the bits of its primitive form's largest
+# coefficient (isolation time grows fast with it) and the bits of its widest
+# numerator or denominator (which must print).  The largest preset, K3_3 at
+# q = 10^-100, is about 6000 bits; random tables of degree 2-20 took at most
+# 1.8 s under the limit on a 2-core VM, and up to 5.5 s just above it.
+MAX_POLY_BITS = 8000
+
+
+def _bounded(poly: UniPoly, what: str) -> UniPoly:
+    """``poly``, or a ValueError if its size passes ``MAX_POLY_BITS``."""
+    reduced = poly.primitive()
+    isolating = reduced.degree * max(c.numerator.bit_length() for c in reduced.coeffs)
+    printing = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in poly.coeffs)
+    size = max(isolating, printing)
+    if size > MAX_POLY_BITS:
+        raise ValueError(f"{what} is too large: {size} bits, over {MAX_POLY_BITS}")
+    return poly
+
 
 class Threshold:
     """What every threshold question about one family reads: the Segre
@@ -41,8 +60,9 @@ class Threshold:
     def __init__(self, family: HKFamily):
         self.pairings = tuple(family.segre_pairings())
         n = family.n
-        self.poly = UniPoly(
-            comb(4 * n - 1, 2 * i) * d for i, d in enumerate(self.pairings)
+        self.poly = _bounded(
+            UniPoly(comb(4 * n - 1, 2 * i) * d for i, d in enumerate(self.pairings)),
+            "the threshold polynomial",
         )
 
     @cached_property
@@ -99,7 +119,8 @@ def gamma_p(family: HKFamily, qval: Fraction) -> AlgebraicReal:
     Computed without forming a quotient: the substitution t -> qval * s^2
     turns the threshold polynomial in t into one in s whose largest real
     root is exactly sqrt(C/qval).  When every real root of p is <= 0 (or p
-    has none) the threshold is 0.  A q past ``MAX_Q_DIGITS`` is refused.
+    has none) the threshold is 0.  A q past ``MAX_Q_DIGITS``, or one that
+    makes the substituted polynomial pass ``MAX_POLY_BITS``, is refused.
     """
     qval = Fraction(qval)
     if qval <= 0:
@@ -107,7 +128,7 @@ def gamma_p(family: HKFamily, qval: Fraction) -> AlgebraicReal:
     if max(qval.numerator, qval.denominator) > 10**MAX_Q_DIGITS:
         raise ValueError(f"gamma_p needs q's numerator and denominator at most 10^{MAX_Q_DIGITS}")
     poly = build_threshold_poly(family)
-    substituted = poly.compose(UniPoly((0, 0, qval)))
+    substituted = _bounded(poly.compose(UniPoly((0, 0, qval))), "gamma_p's polynomial at this q")
     roots = isolate_real_roots(substituted)
     if not roots or roots[-1] < 0:
         return AlgebraicReal.from_rational(0)

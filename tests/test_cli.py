@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from hktwist.cli import main
+from hktwist.cli import MAX_DISPLAY_DIGITS, main
+from hktwist.family import _monomials
+from hktwist.threshold import MAX_POLY_BITS
 
 
 def run(capsys, *argv):
@@ -145,6 +148,16 @@ def test_digits_flag(capsys):
     assert "5.95367895498" in out
 
 
+def test_digits_at_the_cap(capsys):
+    code, out, err = run(
+        capsys, "threshold", "--family", "K3_3", "--digits", str(MAX_DISPLAY_DIGITS)
+    )
+    assert code == 0 and err == ""
+    (line,) = [line for line in out.splitlines() if line.startswith("C = ")]
+    assert line.startswith("C = 5.95367895498")
+    assert len(line.split()[2].replace(".", "")) == MAX_DISPLAY_DIGITS
+
+
 def test_unknown_family_is_domain_error(capsys):
     code, out, err = run(capsys, "threshold", "--family", "K5")
     assert code == 1
@@ -230,6 +243,44 @@ def _close_roots_document():
     ]}
 
 
+def _random_document(n, digits, seed):
+    """A complete n table of seeded random fractions whose numerators and
+    denominators have ``digits`` digits each."""
+    rng = random.Random(seed)
+    low, high = 10 ** (digits - 1), 10**digits - 1
+    return {"name": f"random n={n}, {digits} digits", "n": n, "pairings": [
+        {"monomial": {str(i): e for i, e in m.items()}, "omega_power": 2 * n - weight,
+         "constant": f"{rng.randint(low, high)}/{rng.randint(low, high)}"}
+        for weight in range(0, 2 * n + 1, 2) for m in _monomials(weight, weight)
+    ]}
+
+
+def _shared_factor_document():
+    """An n = 1 table whose polynomial G - 3G*t, G = 5*10^4299, is 1 - 3t once
+    primitive, but whose coefficient 3G has 4301 digits, past the interpreter's
+    4300-digit print limit."""
+    doc = k3_document(name="shared factor", constant=str(5 * 10**4299))
+    doc["pairings"][0]["constant"] = str(5 * 10**4299)
+    return doc
+
+
+# The largest e for which t^2 + 10^e*t - 1 is within the polynomial size bound.
+_E = max(e for e in range(1, 3000) if 2 * (10**e).bit_length() <= MAX_POLY_BITS)
+
+
+def _small_root_document():
+    """An n = 2 table whose polynomial is t^2 + 10^_E*t - 1.  Its largest root,
+    about 10^-_E, takes the interval endpoints with the most digits that a
+    polynomial within the size bound gives: about the digits asked for plus
+    2*_E, which must still print."""
+    return {"name": "small root", "n": 2, "pairings": [
+        {"monomial": {}, "omega_power": 4, "constant": "1/35"},
+        {"monomial": {"2": 1}, "omega_power": 2, "constant": str(Fraction(-10**_E, 21))},
+        {"monomial": {"2": 2}, "omega_power": 0, "constant": "0"},
+        {"monomial": {"4": 1}, "omega_power": 0, "constant": "1"},
+    ]}
+
+
 # Inputs that once crashed or ran without bound: (arguments, with "@FILE" for
 # the family file, the family file's document or None, exit code, a fragment
 # of the one stderr line, or of stdout on success).
@@ -243,6 +294,16 @@ HOSTILE_ARGUMENTS = [
      k3_document(name="huge exponent", constant="1e-10000000"), 1, "exponent out of range"),
     (("threshold", "--family", "@FILE"), _close_roots_document(), 0,
      f"C = {1 + Fraction(1, 10**400)} exactly"),
+    (("threshold", "--family", "K3_3", "--digits", "5000"), None, 2,
+     f"digits must be between 1 and {MAX_DISPLAY_DIGITS}"),
+    (("threshold", "--family", "@FILE"), _random_document(10, 30, 1), 1, "too large"),
+    (("threshold", "--family", "@FILE"), _random_document(3, 1000, 1), 1, "too large"),
+    (("threshold", "--family", "@FILE"), _random_document(3, 4000, 1), 1, "too large"),
+    (("poly", "--family", "@FILE"), _shared_factor_document(), 1, "too large"),
+    (("gamma-p", "--family", "@FILE", "--q", "1e-100"), _random_document(5, 1, 1), 1,
+     "too large"),
+    (("threshold", "--family", "@FILE", "--digits", str(MAX_DISPLAY_DIGITS), "--json"),
+     _small_root_document(), 0, f'"decimal": "1.{"0" * (MAX_DISPLAY_DIGITS - 1)}E-{_E}"'),
 ]
 
 
@@ -268,6 +329,7 @@ def test_hostile_arguments_end_quickly_and_cleanly(tmp_path, argv, document, cod
         lines = lines[1:]  # a usage error prints argparse's usage line first
     assert result.returncode == code, result.stderr
     assert "Traceback" not in result.stderr and len(lines) <= 1, result.stderr
+    assert "Exceeds the limit" not in result.stderr, result.stderr
     assert message in (result.stdout if code == 0 else result.stderr)
 
 
