@@ -23,13 +23,19 @@ kernel, :class:`_Bisection`.  It holds the polynomial with its denominators
 cleared, the endpoints as integers a < b over one positive denominator, and
 the sign of p just right of a, taken as -sign p(b), which never changes.
 A step doubles a, b and the denominator, decides the sign of p at the
-midpoint a + b by one homogeneous integer Horner pass, and keeps the half
-on which p changes sign.  The intervals are exactly those of halving on
-``Fraction`` endpoints, but no ``Fraction`` and no :class:`AlgebraicReal`
-is built per step; an ``AlgebraicReal`` is built, through the validating
-constructor, only for a returned value.  Comparison with a rational needs
-no refinement at all: the root lies left of a rational x inside its
-interval exactly when p(x) and p(lo) differ in sign.
+midpoint a + b, and keeps the half on which p changes sign.  The sign comes
+from one of two passes, chosen by the level alone: up to ``TAYLOR_LEVEL`` a
+homogeneous integer Horner pass, whose products grow with the level; past
+it the interval's Taylor form, an integer polynomial in y on [0, 1]
+that is halved by shifts and moved to the right half by additions (the
+subdivision step of Descartes-method isolation: Collins and Akritas 1976,
+Rouillier and Zimmermann 2004).  Both read p at the midpoint times a
+positive factor, so they give the same sign.  The intervals are exactly
+those of halving on ``Fraction`` endpoints, but no ``Fraction`` and no
+:class:`AlgebraicReal` is built per step; an ``AlgebraicReal`` is built,
+through the validating constructor, only for a returned value.  Comparison
+with a rational needs no refinement at all: the root lies left of a
+rational x inside its interval exactly when p(x) and p(lo) differ in sign.
 """
 
 from __future__ import annotations
@@ -39,6 +45,18 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exact import DEFAULT_SIG_DIGITS, UniPoly, decimal_str, format_rational
+
+
+# A ``_Bisection`` step to a level above this one reads the Taylor form, not
+# a Horner pass.  Time per step, Horner over Taylor (two runs, each the best
+# of 11 runs of 64 steps, on a 2-core VM), at levels 256 / 384 / 448 / 640 /
+# 1024: for degree 2 (C(K3_2), 4 + 4*sqrt(2)) 0.5-0.8 / 0.6-0.8 / 0.8-0.9 /
+# 1.0-1.6 / 1.5-1.7; for degrees 3, 6 and 20 (C(K3_3), gamma_p(K3_3, 7/3), C
+# of a random n = 20 table) 0.65-1.1 / 1.0-1.8 / 1.2-2.2 / 1.2-4.1 / 2.3-5.4.
+# With the switch at 256, the 120-digit decimals (about 400 levels) of
+# C(K3_2), C(K3_3) and 4 + 4*sqrt(2) took 12-16 % longer; with it anywhere
+# from 448 to 640, a cycle of the benchmark's digits workload took the same.
+TAYLOR_LEVEL = 448
 
 
 # -- Sturm machinery ------------------------------------------------------
@@ -375,20 +393,34 @@ class AlgebraicReal:
 class _Bisection:
     """Bisection of an isolating interval on integer endpoints.
 
-    The interval is [a, b] / (s * 2^k), with a and b integers.  ``terms[i]``
-    is c_i * s^(d - i) for the integer coefficients c_i of a positive
-    multiple of the polynomial, so p(x / (s * 2^k)) has the sign of
+    The interval is [a, b] / (s * 2^k), with a and b integers.  ``terms[j]``
+    is c_(d - j) * s^j for the integer coefficients c_i of a positive
+    multiple of the polynomial, highest degree first, so p(x / (s * 2^k))
+    has the sign of
 
-        sum_i terms[i] * x^i * 2^(k * (d - i)),
+        P(x) = sum_j terms[j] * x^(d - j) * 2^(k * j),
 
     which Horner's rule evaluates with integer products and shifts.  The
     sign p takes left of the root is read as -sign p(hi), so lo may start
     on a root of p outside the interval (the neighbour isolated to the
     left, see ``_certify_single``).  After a step that hits the root,
-    a == b.
+    a == b, and the run is not stepped again.
+
+    Horner's products grow with k, so a step to a level above
+    ``TAYLOR_LEVEL`` reads the interval's Taylor form ``taylor`` instead,
+    built by the first such step: the coefficients, lowest degree first, of
+    Q(y) = P(a + (b - a) * y), which is p(lo + (hi - lo) * y) times the
+    positive factor (s * 2^k)^d times the cleared denominators.  Every step
+    keeps that invariant on the halved interval: the left half's form is
+    2^d * Q(y / 2), q_i shifted left by d - i; the sign of p at the midpoint
+    is the sign of that form at y = 1, the sum of its coefficients; the
+    right half's form is its Taylor shift by 1, d(d + 1)/2 additions.
+    Since each pass reads p(mid) times a positive factor, both give the same
+    sign, so the intervals do not depend on the level of the switch, which
+    was set from per-step timings of the two passes (see ``TAYLOR_LEVEL``).
     """
 
-    __slots__ = ("poly", "terms", "a", "b", "s", "k", "lo_sign")
+    __slots__ = ("poly", "terms", "taylor", "a", "b", "s", "k", "lo_sign")
 
     def __init__(self, poly: UniPoly, lo: Fraction, hi: Fraction):
         self.poly = poly
@@ -397,18 +429,47 @@ class _Bisection:
         self.b = hi.numerator * (self.s // hi.denominator)
         self.k = 0
         clear = math.lcm(*(c.denominator for c in poly.coeffs))
-        d = poly.degree
-        self.terms = [int(c * clear) * self.s ** (d - i) for i, c in enumerate(poly.coeffs)]
+        self.terms = [int(c * clear) * self.s**j for j, c in enumerate(reversed(poly.coeffs))]
+        self.taylor: list[int] | None = None
         self.lo_sign = -self._sign_at(self.b)
 
     def _sign_at(self, x: int) -> int:
-        """Sign of p(x / (s * 2^k))."""
-        terms, k = self.terms, self.k
-        d = len(terms) - 1
-        acc = terms[d]
-        for i in range(d - 1, -1, -1):
-            acc = acc * x + (terms[i] << (k * (d - i)))
+        """Sign of p(x / (s * 2^k)), by one Horner pass."""
+        k = self.k
+        acc = shift = 0
+        for t in self.terms:
+            acc = acc * x + (t << shift)
+            shift += k
         return (acc > 0) - (acc < 0)
+
+    def _taylor_form(self) -> list[int]:
+        """Coefficients of Q(y) = P(a + (b - a) * y) at the current level."""
+        k, a = self.k, self.a
+        q = [t << (k * j) for j, t in enumerate(self.terms)][::-1]
+        d = len(q) - 1
+        for i in range(d):  # Taylor shift by a
+            for j in range(d - 1, i - 1, -1):
+                q[j] += a * q[j + 1]
+        width = self.b - self.a
+        return [c * width**i for i, c in enumerate(q)]
+
+    def _taylor_sign(self) -> int:
+        """Sign of p at the midpoint, read from the Taylor form (built on
+        first use, for the interval before halving); the form then moves to
+        the half that the step keeps."""
+        q = self.taylor
+        if q is None:
+            q = self.taylor = self._taylor_form()
+        d = len(q) - 1
+        for i in range(d):  # the left half
+            q[i] <<= d - i
+        total = sum(q)
+        sign = (total > 0) - (total < 0)
+        if sign == self.lo_sign:
+            for i in range(d):  # the right half: Taylor shift by 1
+                for j in range(d - 1, i - 1, -1):
+                    q[j] += q[j + 1]
+        return sign
 
     def step(self) -> bool:
         """Halve the interval; True if the midpoint is the root."""
@@ -416,7 +477,7 @@ class _Bisection:
         self.a <<= 1
         self.b <<= 1
         self.k += 1
-        sign = self._sign_at(mid)
+        sign = self._sign_at(mid) if self.k <= TAYLOR_LEVEL else self._taylor_sign()
         if sign == 0:
             self.a = self.b = mid
         elif sign == self.lo_sign:

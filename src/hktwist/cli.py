@@ -30,10 +30,12 @@ from .family import HKFamily, PRESET_NAMES, preset
 
 SCHEMA = "1"
 
-# Refining to d digits takes time growing faster than d^2 (gamma-p on K3_3 at
-# q = 10^-100: 1.6 s at 1500, 14 s at 4000, 2-core VM), and an interval
-# endpoint has about d digits plus the polynomial's, up to 2400 within
-# threshold.MAX_POLY_BITS, which must print below the 4300-digit int limit.
+# An interval endpoint has about d digits plus the polynomial's, up to 2400
+# within threshold.MAX_POLY_BITS, which must print below the 4300-digit int
+# limit; that sets the cap, not time: the decimal of gamma_p on K3_3 at
+# q = 10^-100 takes 0.16 s at 1500 digits and 0.57 s at 4000 (in-process,
+# 2-core VM), and gamma-p at q = 7/3 on a random n = 20 table 5.5 s at 1500
+# as a fresh process.
 MAX_DISPLAY_DIGITS = 1500
 
 

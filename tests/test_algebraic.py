@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from hktwist.algebraic import (
+    TAYLOR_LEVEL,
     AlgebraicReal,
+    _Bisection,
     _shares_root,
     _split,
     cauchy_bound,
@@ -618,3 +621,150 @@ def test_gamma_polynomial_with_a_tiny_q_isolates():
     q = Fraction(1, 10**200)
     poly = build_threshold_poly(preset("K3_2")).compose(UniPoly((0, 0, q)))
     assert isolate_real_roots(poly)[-1].decimal(6) == "2.24708E+100"
+
+
+# -- the Taylor form past TAYLOR_LEVEL against the Horner pass ----------------
+#
+# The reference steps the kernel as it stepped before it had a Taylor form:
+# one homogeneous integer Horner pass decides every midpoint sign, at every
+# level.  The kernel must reach the same (a, b, k) and return the same
+# hit flag after every step, below and above the switch.
+
+
+class _HornerRun:
+    def __init__(self, poly, lo, hi):
+        self.s = math.lcm(lo.denominator, hi.denominator)
+        self.a = lo.numerator * (self.s // lo.denominator)
+        self.b = hi.numerator * (self.s // hi.denominator)
+        self.k = 0
+        clear = math.lcm(*(c.denominator for c in poly.coeffs))
+        d = poly.degree
+        self.terms = [int(c * clear) * self.s ** (d - i) for i, c in enumerate(poly.coeffs)]
+        self.lo_sign = -self.sign_at(self.b)
+
+    def sign_at(self, x):
+        d = len(self.terms) - 1
+        acc = self.terms[d]
+        for i in range(d - 1, -1, -1):
+            acc = acc * x + (self.terms[i] << (self.k * (d - i)))
+        return (acc > 0) - (acc < 0)
+
+    def step(self):
+        mid = self.a + self.b
+        self.a, self.b, self.k = self.a << 1, self.b << 1, self.k + 1
+        sign = self.sign_at(mid)
+        if sign == 0:
+            self.a = self.b = mid
+        elif sign == self.lo_sign:
+            self.a = mid
+        else:
+            self.b = mid
+        return sign == 0
+
+    def interval(self):
+        return Fraction(self.a, self.s << self.k), Fraction(self.b, self.s << self.k)
+
+
+def _horner_to_json(x, digits):
+    """to_json by the Horner reference.  An interval inside one whose ends
+    round alike rounds alike too, so the ends are rendered every 64 steps
+    and the first agreeing interval is then looked for among the last 64."""
+    run = _HornerRun(x.poly, x.lo, x.hi)
+
+    def agree(lo, hi):
+        return decimal_str(lo, digits) == decimal_str(hi, digits)
+
+    batch = [run.interval()]
+    while not agree(*batch[-1]):
+        batch = []
+        for _ in range(64):
+            run.step()
+            batch.append(run.interval())
+    lo, hi = next(interval for interval in batch if agree(*interval))
+    return {
+        "poly": x.poly.to_json(),
+        "interval": [format_rational(lo), format_rational(hi)],
+        "decimal": decimal_str(lo, digits),
+    }
+
+
+def _n20_constant():
+    """C of a seeded n = 20 table of one-digit fractions (degree 20)."""
+    from hktwist.family import HKFamily, _monomials
+    from hktwist.series import ChernMonomial
+    from hktwist.threshold import constant_C
+
+    rng = random.Random(20)
+    table = {}
+    for weight in range(0, 41, 2):
+        for m in _monomials(weight, weight):
+            table[ChernMonomial(m)] = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    return constant_C(HKFamily("random n=20", 20, table))
+
+
+_TAYLOR_ROOTS = {
+    "C(K3_2), degree 2": lambda: _NAMED[1],
+    "C(K3_3), degree 3": lambda: _NAMED[2],
+    "4 + 4*sqrt(2), degree 2": lambda: _NAMED[3],
+    "gamma_p(K3_2, 7/3), degree 4": lambda: _NAMED[6],
+    "gamma_p(K3_3, 7/3), degree 6": lambda: _NAMED[9],
+    "C of an n = 20 table, degree 20": _n20_constant,
+}
+
+
+@pytest.mark.parametrize("name", _TAYLOR_ROOTS)
+def test_taylor_steps_match_horner_steps(name):
+    x = _TAYLOR_ROOTS[name]()
+    assert f"degree {x.poly.degree}" in name
+    run, ref = _Bisection(x.poly, x.lo, x.hi), _HornerRun(x.poly, x.lo, x.hi)
+    for _ in range(TAYLOR_LEVEL + 600):
+        assert run.step() == ref.step()
+        assert (run.a, run.b, run.k) == (ref.a, ref.b, ref.k)
+    assert run.taylor is not None
+    assert run._sign_at(run.a) == ref.sign_at(ref.a) == ref.lo_sign
+
+
+@pytest.mark.parametrize("index", [1, 3], ids=["C(K3_2)", "4 + 4*sqrt(2)"])
+def test_taylor_to_json_1000_matches_horner(index):
+    x = _NAMED[index]
+    ref = _HornerRun(x.poly, x.lo, x.hi)
+    while ref.b - ref.a > ref.s << ref.k >> 3000:
+        ref.step()
+    refined = x.refine_to(Fraction(1, 2**3000))
+    assert (refined.lo, refined.hi) == ref.interval()
+    assert x.to_json(1000) == _horner_to_json(x, 1000)
+
+
+# 1 + (4^240 - 1) / (3 * 2^480), binary 1.0101...01 with 480 bits after the
+# point, is the bisection midpoint of (1, 2] at level 480, past the switch,
+# so each refinement that goes that deep ends on a point interval.  Its
+# bisection keeps the left and the right half in turn.
+_DEEP = 1 + Fraction((4**240 - 1) // 3, 2**480)
+
+
+def test_point_past_the_switch_matches_reference():
+    assert TAYLOR_LEVEL < 480
+    x = AlgebraicReal(UniPoly((-_DEEP, 1)) * UniPoly((-5, 0, 1)), Fraction(1), Fraction(2))
+    near = largest_real_root(UniPoly((-(_DEEP**2 + Fraction(1, 2**504)), 0, 1)))
+    others = [near, near.scale(-1), _NAMED[3]]
+    rationals = [Fraction(1), _DEEP, _DEEP + Fraction(1, 2**481), Fraction(4, 3)]
+    width = Fraction(1, 2**470)
+    assert (x.refine_to(width).lo, x.refine_to(width).hi) == _ref_refine(x, width)
+    _check_against_reference(x, 160, rationals, others)
+    assert x.refine_to(Fraction(1, 10**160)).is_rational
+    for y in others:
+        assert y.compare(x) == -x.compare(y)
+    # 140 digits take the refinement past the switch but not to the hit
+    assert x.to_json(140) == _ref_to_json(x, 140)
+    assert x.to_json(140)["interval"][0] != x.to_json(140)["interval"][1]
+
+
+def test_square_folding_a_point_past_the_switch_matches_reference():
+    """-(_DEEP + 2^-504) squares to within 2^-501 of the square of _DEEP, so
+    the candidate interval of the square narrows until the run hits _DEEP."""
+    x = AlgebraicReal(
+        UniPoly((-_DEEP, 1)) * UniPoly((_DEEP + Fraction(1, 2**504), 1)), Fraction(1), Fraction(2)
+    )
+    width = Fraction(1, 2**470)
+    assert (x.refine_to(width).lo, x.refine_to(width).hi) == _ref_refine(x, width)
+    assert _same_number(x.square(), _ref_square(x))
