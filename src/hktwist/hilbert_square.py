@@ -7,31 +7,35 @@ a K3 surface S.  Classes are polynomials in the commuting symbols
     delta (weight 1)  - half the exceptional divisor (E = 2*delta),
     sbar  (weight 2)  - the class of a fiber {pt} x S,
 
-with coefficients that are polynomials in the formal parameter a = alpha_S^2.
-The symbol l = sbar*delta (weight 3) is accepted as input and rewritten
-eagerly.  Intersection numbers come from one minimal table of weight-4
-monomials; every other printed value is derived from it.
+with rational coefficients: the ``GradedSeries`` algebra of the Todd series,
+truncated at weight 4 and keyed by ``SquareMonomial``.  The symbol
+l = sbar*delta (weight 3) is accepted as input and rewritten eagerly.
+Intersection numbers come from one minimal table of weight-4 monomials,
+polynomials in the formal parameter a = alpha_S^2; every other printed
+value is derived from it.
 
 P denotes the 7-dimensional projectivized cotangent bundle over X with
 tautological class zeta.  A class there is stored as its fiber degree D and
 one class beta on X: it is sum_w zeta^(D-w) * pi^*(beta_w), where beta_w is
 the weight-w part of beta.  Top intersections push forward through the
-Segre class s(X) = 1 + s2 + s4: zeta^(3+i) * pi^*(beta) integrates to
-s_i . beta on X (Fulton, *Intersection Theory*, section 3.1), so the
-integral over P is that of the weight-4 part of s(X) * beta.  X has no odd
-Chern classes, so odd weights never reach weight 4.  The one Chern number
-the table does not give, c4, is read from the K3_2 family table.
+Segre class s(X) = c(X)^-1: zeta^(3+i) * pi^*(beta) integrates to
+s_i . beta on X (Fulton, *Intersection Theory*, sections 3.1 and 3.2), so
+the integral over P is that of the weight-4 part of s(X) * beta, and the
+inverse of c(X) = 1 + c2 + c4 is the series rule that also gives the square
+root of the Todd series.  X has no odd Chern classes, so odd weights never
+reach weight 4.  The one Chern number the table does not give, c4, is read
+from the K3_2 family table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Mapping
+from typing import NamedTuple
 
-from .exact import UniPoly, format_rational
+from .exact import UniPoly
 from .family import preset
-from .series import ChernMonomial
+from .series import ChernMonomial, GradedSeries
 
 # Weight-4 monomial values, keyed by exponents of (alpha, delta, sbar);
 # entries are polynomials in a (ascending coefficients).
@@ -48,116 +52,45 @@ _TABLE: dict[tuple[int, int, int], UniPoly] = {
 }
 
 
-class SquareClass:
-    """A cohomology class on X: a linear combination of symbol monomials.
+class SquareMonomial(NamedTuple):
+    """alpha^alpha * delta^delta * sbar^sbar, of weight alpha + delta + 2*sbar.
 
-    terms maps (i_alpha, i_delta, i_sbar) to a UniPoly coefficient in the
-    parameter a.  Monomials of weight above 4 vanish on the 4-fold and
-    are dropped on the spot.
+    It equals the plain exponent tuple, so it reads ``_TABLE`` directly.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, int, int], UniPoly] = ()):
-        cleaned: dict[tuple[int, int, int], UniPoly] = {}
-        for key, coeff in dict(terms).items():
-            if min(key) < 0:
-                raise ValueError(f"negative exponent in {key}")
-            if not isinstance(coeff, UniPoly):
-                coeff = UniPoly.constant(coeff)
-            if coeff.is_zero or _weight(key) > 4:
-                continue
-            cleaned[key] = coeff
-        object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SquareClass is immutable")
+    alpha: int = 0
+    delta: int = 0
+    sbar: int = 0
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def weight(self) -> int:
+        return self.alpha + self.delta + 2 * self.sbar
 
-    def weights(self) -> set[int]:
-        return {_weight(k) for k in self.terms}
+    @property
+    def factors(self) -> tuple[int, int, int]:
+        return tuple(self)
 
-    def __add__(self, other) -> "SquareClass":
-        other = _as_square(other)
-        if other is None:
-            return NotImplemented
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, UniPoly.zero()) + coeff
-        return SquareClass(merged)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "SquareClass":
-        return SquareClass({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other) -> "SquareClass":
-        other = _as_square(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "SquareClass":
-        return -(self - other)
-
-    def __mul__(self, other) -> "SquareClass":
-        if isinstance(other, (int, Fraction, UniPoly)):
-            factor = other if isinstance(other, UniPoly) else UniPoly.constant(other)
-            return SquareClass({k: c * factor for k, c in self.terms.items()})
-        if not isinstance(other, SquareClass):
-            return NotImplemented
-        out: dict[tuple[int, int, int], UniPoly] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(x + y for x, y in zip(k1, k2))
-                if _weight(key) > 4:
-                    continue
-                out[key] = out.get(key, UniPoly.zero()) + c1 * c2
-        return SquareClass(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "SquareClass":
-        if exponent < 0:
-            raise ValueError("negative power")
-        result = unit()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SquareClass):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        raise TypeError("SquareClass is unhashable")
-
-    def __repr__(self) -> str:
-        return f"SquareClass({dict(self.terms)!r})"
+    def __mul__(self, other: "SquareMonomial") -> "SquareMonomial":
+        return SquareMonomial(*(x + y for x, y in zip(self, other)))
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=lambda k: (_weight(k), k)):
-            coeff = self.terms[key]
-            body = _monomial_str(key)
-            if body == "1":
-                parts.append(_coeff_str(coeff))
-            elif coeff == UniPoly.constant(1):
-                parts.append(body)
-            else:
-                parts.append(f"{_coeff_str(coeff)}*{body}")
-        return " + ".join(parts)
+        return _monomial_str(self)
 
 
-def _weight(key: tuple[int, int, int]) -> int:
-    ia, idl, isb = key
-    return ia + idl + 2 * isb
+class SquareClass(GradedSeries):
+    """A cohomology class on X: a rational combination of symbol monomials.
+
+    It is a ``GradedSeries`` of truncation 4 keyed by ``SquareMonomial``, so
+    monomials of weight above 4 vanish on the 4-fold and are dropped on the
+    spot.  The parameter a enters only when a class is integrated.
+    """
+
+    __slots__ = ()
+    unit_monomial = SquareMonomial()
+
+
+def _class(**exponents: int) -> SquareClass:
+    return SquareClass(4, {SquareMonomial(**exponents): 1})
 
 
 def _monomial_str(key: tuple[int, int, int]) -> str:
@@ -168,53 +101,35 @@ def _monomial_str(key: tuple[int, int, int]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _coeff_str(coeff: UniPoly) -> str:
-    if coeff.degree <= 0:
-        return format_rational(coeff.coeff(0)) if not coeff.is_zero else "0"
-    return f"({coeff.render('a')})"
-
-
-def _as_square(value) -> "SquareClass | None":
-    if isinstance(value, SquareClass):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return SquareClass({(0, 0, 0): UniPoly.constant(value)})
-    if isinstance(value, UniPoly):
-        return SquareClass({(0, 0, 0): value})
-    return None
-
-
 def unit() -> SquareClass:
-    return SquareClass({(0, 0, 0): UniPoly.constant(1)})
+    return _class()
 
 
 def alpha() -> SquareClass:
-    return SquareClass({(1, 0, 0): UniPoly.constant(1)})
+    return _class(alpha=1)
 
 
 def delta() -> SquareClass:
-    return SquareClass({(0, 1, 0): UniPoly.constant(1)})
+    return _class(delta=1)
 
 
 def sbar() -> SquareClass:
-    return SquareClass({(0, 0, 1): UniPoly.constant(1)})
+    return _class(sbar=1)
 
 
 def ell() -> SquareClass:
     """The weight-3 class l, stored in rewritten form sbar*delta."""
-    return SquareClass({(0, 1, 1): UniPoly.constant(1)})
+    return sbar() * delta()
 
 
 def exceptional() -> SquareClass:
     """The exceptional divisor E = 2*delta."""
-    return SquareClass({(0, 1, 0): UniPoly.constant(2)})
+    return delta() * 2
 
 
 def segre2() -> SquareClass:
     """The weight-2 Segre class s2 = -24*sbar + 3*delta^2 = -c2."""
-    return SquareClass(
-        {(0, 0, 1): UniPoly.constant(-24), (0, 2, 0): UniPoly.constant(3)}
-    )
+    return sbar() * -24 + delta() ** 2 * 3
 
 
 def square_intersect(cls: SquareClass) -> UniPoly:
@@ -225,22 +140,22 @@ def square_intersect(cls: SquareClass) -> UniPoly:
     """
     total = UniPoly.zero()
     for key, coeff in cls.terms.items():
-        if _weight(key) != 4:
-            raise ValueError(f"cannot integrate weight-{_weight(key)} term {key}")
-        total = total + coeff * _TABLE[key]
+        if key.weight != 4:
+            raise ValueError(f"cannot integrate weight-{key.weight} term {key}")
+        total = total + _TABLE[key] * coeff
     return total
 
 
 def _part(cls: SquareClass, weight: int) -> SquareClass:
-    return SquareClass({k: c for k, c in cls.terms.items() if _weight(k) == weight})
+    return SquareClass(4, cls.component(weight))
 
 
 @cache
 def _segre_class() -> SquareClass:
-    """s(X) = 1 + s2 + s4, with s4 = s2^2 - c4 * sbar^2 (sbar^2 is a point)."""
-    s2 = segre2()
+    """s(X) = c(X)^-1 with c(X) = 1 + c2 + c4 * sbar^2 (sbar^2 is a point)."""
+    c2 = -segre2()
     c4 = preset("K3_2").pair(ChernMonomial({4: 1}))
-    return unit() + s2 + s2 * s2 - sbar() ** 2 * c4
+    return (1 + c2 + sbar() ** 2 * c4).inverse()
 
 
 class PBClass:
@@ -254,10 +169,10 @@ class PBClass:
     __slots__ = ("degree", "beta")
 
     def __init__(self, degree: int, beta: SquareClass | int = 0):
-        beta = _as_square(beta)
+        beta = unit() * beta  # a rational is a constant class
         if degree < 0:
             raise ValueError("negative degree")
-        if max(beta.weights(), default=0) > degree:
+        if max((m.weight for m in beta.terms), default=0) > degree:
             raise ValueError(f"a weight of {beta} exceeds the fiber degree {degree}")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "beta", beta)

@@ -1,17 +1,18 @@
-"""Truncated graded series in even Chern symbols.
+"""Truncated graded series: characteristic classes cut off by weight.
 
-Elements are finite Q-linear combinations of monomials in the symbols
-c2, c4, c6, ... (even indices only), graded by complex weight: c2k has
-weight 2k and a monomial's weight is the sum over its factors.  A series
+Elements are finite Q-linear combinations of graded monomials.  A series
 carries a truncation N and silently drops every product term of weight
 above N, which is exactly the arithmetic of characteristic classes on a
-manifold of complex dimension N.
+manifold of complex dimension N.  ``GradedSeries`` is keyed by Chern
+monomials in c2, c4, c6, ... (c2k has weight 2k); a subclass with another
+``unit_monomial`` is keyed by that monomial type (``hilbert_square``).
 
 Inverse and square root are defined for series with constant term 1 and
 follow one power-series rule: for a = 1 + x, each is f(x) = sum_k f_k x^k
 with f the geometric series for 1/(1+x) or the binomial series for
 sqrt(1+x) (Fulton, Intersection Theory, 3.2).  The sum is finite because
-x^k has weight at least 2k, and exact because every f_k is rational.
+x^k has weight at least k times the least weight in x, and exact because
+every f_k is rational.
 """
 
 from __future__ import annotations
@@ -99,11 +100,16 @@ UNIT = ChernMonomial()
 
 
 class GradedSeries:
-    """Finite series sum_m a_m * m over Chern monomials, truncated by weight."""
+    """Finite series sum_m a_m * m over graded monomials, truncated by weight.
+
+    A monomial type needs a ``weight``, a product and a ``factors`` sort
+    key; ``symbol`` and the JSON form are those of Chern monomials.
+    """
 
     __slots__ = ("truncation", "terms")
+    unit_monomial = UNIT
 
-    def __init__(self, truncation: int, terms: Mapping[ChernMonomial, Fraction] = ()):
+    def __init__(self, truncation: int, terms: Mapping = ()):
         if truncation < 0:
             raise ValueError("truncation must be nonnegative")
         cleaned = {}
@@ -116,53 +122,56 @@ class GradedSeries:
         object.__setattr__(self, "terms", cleaned)
 
     def __setattr__(self, name, value):
-        raise AttributeError("GradedSeries is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def one(cls, truncation: int) -> "GradedSeries":
-        return cls(truncation, {UNIT: Fraction(1)})
+        return cls(truncation, {cls.unit_monomial: Fraction(1)})
 
     @classmethod
     def symbol(cls, index: int, truncation: int) -> "GradedSeries":
         return cls(truncation, {ChernMonomial({index: 1}): Fraction(1)})
 
-    def coeff(self, monomial: ChernMonomial) -> Fraction:
+    def coeff(self, monomial) -> Fraction:
         return self.terms.get(monomial, Fraction(0))
 
-    def component(self, weight: int) -> dict[ChernMonomial, Fraction]:
+    def component(self, weight: int) -> dict:
         """All terms of the given weight."""
         return {m: c for m, c in self.terms.items() if m.weight == weight}
 
     @property
     def constant(self) -> Fraction:
-        return self.coeff(UNIT)
+        return self.coeff(self.unit_monomial)
 
-    def _check_same_truncation(self, other: "GradedSeries") -> None:
+    def _operand(self, other) -> "GradedSeries | None":
+        """other as a series of this algebra: a rational is a constant."""
+        if isinstance(other, (int, Fraction)):
+            return type(self)(self.truncation, {self.unit_monomial: Fraction(other)})
+        if type(other) is not type(self):
+            return None
         if self.truncation != other.truncation:
             raise ValueError(
                 f"truncation mismatch: {self.truncation} vs {other.truncation}"
             )
+        return other
 
     def __add__(self, other) -> "GradedSeries":
-        if isinstance(other, (int, Fraction)):
-            other = GradedSeries(self.truncation, {UNIT: Fraction(other)})
-        if not isinstance(other, GradedSeries):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check_same_truncation(other)
         merged = dict(self.terms)
         for monomial, coeff in other.terms.items():
             merged[monomial] = merged.get(monomial, Fraction(0)) + coeff
-        return GradedSeries(self.truncation, merged)
+        return type(self)(self.truncation, merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GradedSeries":
-        return GradedSeries(self.truncation, {m: -c for m, c in self.terms.items()})
+        return type(self)(self.truncation, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "GradedSeries":
-        if isinstance(other, (int, Fraction)):
-            other = GradedSeries(self.truncation, {UNIT: Fraction(other)})
-        if not isinstance(other, GradedSeries):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -171,30 +180,38 @@ class GradedSeries:
 
     def __mul__(self, other) -> "GradedSeries":
         if isinstance(other, (int, Fraction)):
-            return GradedSeries(
+            return type(self)(
                 self.truncation, {m: c * other for m, c in self.terms.items()}
             )
-        if not isinstance(other, GradedSeries):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check_same_truncation(other)
-        out: dict[ChernMonomial, Fraction] = {}
+        out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 if m1.weight + m2.weight > self.truncation:
                     continue
                 prod = m1 * m2
                 out[prod] = out.get(prod, Fraction(0)) + c1 * c2
-        return GradedSeries(self.truncation, out)
+        return type(self)(self.truncation, out)
 
     __rmul__ = __mul__
 
+    def __pow__(self, exponent: int) -> "GradedSeries":
+        if exponent < 0:
+            raise ValueError("negative power")
+        result = self.one(self.truncation)
+        for _ in range(exponent):
+            result = result * self
+        return result
+
     def __eq__(self, other) -> bool:
-        if isinstance(other, GradedSeries):
+        if type(other) is type(self):
             return self.truncation == other.truncation and self.terms == other.terms
         return NotImplemented
 
     def __hash__(self):
-        raise TypeError("GradedSeries is unhashable")
+        raise TypeError(f"{type(self).__name__} is unhashable")
 
     def inverse(self) -> "GradedSeries":
         """Multiplicative inverse of a series with constant term 1."""
@@ -214,20 +231,22 @@ class GradedSeries:
     def _apply(self, coeff: Callable[[int], Fraction | int]) -> "GradedSeries":
         """sum_k coeff(k) * self^k for a series with constant term 0.
 
-        Every Chern symbol has weight at least 2, so self^k vanishes once 2k
-        passes the truncation; the finite sum is evaluated by Horner's rule.
+        Every term of self has weight at least w > 0, so self^k vanishes once
+        k * w passes the truncation; the finite sum is evaluated by Horner's
+        rule.
         """
         if self.constant != 0:
             raise ValueError("a power series is applied to a series with constant term 0")
-        top = self.truncation // 2
-        result = GradedSeries(self.truncation, {UNIT: coeff(top)})
+        lowest = min((m.weight for m in self.terms), default=self.truncation + 1)
+        top = self.truncation // lowest
+        result = type(self)(self.truncation, {self.unit_monomial: coeff(top)})
         for k in range(top - 1, -1, -1):
             result = result * self + coeff(k)
         return result
 
     # -- rendering / serialization ------------------------------------
 
-    def sorted_terms(self) -> list[tuple[ChernMonomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple]:
         return sorted(self.terms.items(), key=lambda kv: (kv[0].weight, kv[0].factors))
 
     def __str__(self) -> str:
@@ -235,7 +254,7 @@ class GradedSeries:
             return "0"
         parts = []
         for monomial, coeff in self.sorted_terms():
-            if monomial.is_unit:
+            if monomial == self.unit_monomial:
                 parts.append(format_rational(coeff))
             elif coeff == 1:
                 parts.append(str(monomial))
@@ -246,7 +265,7 @@ class GradedSeries:
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self) -> str:
-        return f"GradedSeries({self.truncation}, {dict(self.terms)!r})"
+        return f"{type(self).__name__}({self.truncation}, {dict(self.terms)!r})"
 
     def to_json(self) -> dict:
         return {

@@ -333,6 +333,121 @@ def test_hostile_arguments_end_quickly_and_cleanly(tmp_path, argv, document, cod
     assert message in (result.stdout if code == 0 else result.stderr)
 
 
+# Seeded fuzzing of the same promise: generated arguments and family files,
+# run in-process, each under a fixed wall-clock limit.
+FUZZ_SEED, FUZZ_CASES, FUZZ_SECONDS = 2019, 200, 5
+FUZZ_NUMBERS = [
+    "0", "-0", "1", "-3", "32", "5/2", "-7/3", "1/0", "0/0", "1.5", "-2.25e3", "3e-7",
+    "1e99", "-1e-99", "1e101", "1e-101", "1e5000", "1e-99999", "9" * 300, "1/" + "7" * 200,
+    "", " ", "abc", "1//2", "nan", "inf", "-inf", "\u00bd", "1_000", "0x10", "+7",
+    "\u22122", "1e", "e5", "1e1.5", "--1",
+]
+FUZZ_FAMILIES = ["K3", "K3_2", "K3_3", "k3_3", "K3_4", "", "@"]
+FUZZ_DIGITS = ["1", "2", "6", "30", "60", "200", "0", "-3", "6.5", str(MAX_DISPLAY_DIGITS + 1)]
+
+
+def _fuzz_number(rng):
+    if rng.random() < 0.6:
+        return f"{rng.randint(-40, 40)}/{rng.randint(1, 9)}"
+    return rng.choice(FUZZ_NUMBERS)
+
+
+def _fuzz_option(rng, name, value):
+    """--name value, or --name=value, which also passes a value that starts with -."""
+    return [f"{name}={value}"] if rng.random() < 0.5 else [name, value]
+
+
+def _fuzz_document(rng):
+    """A complete table of small seeded rationals for n = 1..3, then with
+    probability 1/2 one malformation."""
+    n = rng.randint(1, 3)
+    doc = {"name": f"fuzz n={n}", "n": n, "pairings": [
+        {"monomial": {str(i): e for i, e in m.items()}, "omega_power": 2 * n - weight,
+         "constant": f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"}
+        for weight in range(0, 2 * n + 1, 2) for m in _monomials(weight, weight)
+    ]}
+    entry = rng.choice(doc["pairings"])
+    malformations = [
+        lambda: doc["pairings"].pop(),
+        lambda: doc["pairings"].append(dict(entry)),
+        lambda: entry.update(constant=_fuzz_number(rng)),
+        lambda: entry.update(constant=rng.choice([1.5, 10**30, None, [], True])),
+        lambda: entry.update(omega_power=rng.choice([-1, 99, "2", 0.5])),
+        lambda: entry.update(monomial=rng.choice([{"3": 1}, {"2": -1}, {"x": 1}, "c2"])),
+        lambda: doc.update(n=rng.choice([0, -1, n + 1, "two", 10**6])),
+        lambda: doc.pop(rng.choice(["name", "n", "pairings"])),
+    ]
+    if rng.random() < 0.5:
+        rng.choice(malformations)()
+    return doc
+
+
+def _fuzz_argv(rng, family_file):
+    command = rng.choice(["threshold", "poly", "gamma-p", "gamma-p", "cone-test", "square",
+                          "derive-k3-3"])
+    argv = [command]
+    if command == "square":
+        argv.append(rng.choice(["table", "z-pairing", "kahler", "cube"]))
+        if argv[-1] != "table" and rng.random() < 0.8:
+            argv += _fuzz_option(rng, "--alpha-sq", _fuzz_number(rng))
+    elif command in ("threshold", "poly", "gamma-p", "cone-test"):
+        family = f"@{family_file}" if rng.random() < 0.5 else rng.choice(FUZZ_FAMILIES)
+        argv += ["--family", family]
+        if command == "gamma-p":
+            argv += _fuzz_option(rng, "--q", _fuzz_number(rng))
+        if command == "cone-test":
+            argv += _fuzz_option(rng, "--a", _fuzz_number(rng))
+            argv += _fuzz_option(rng, "--q-delta", _fuzz_number(rng))
+            if rng.random() < 0.3:
+                argv.append("--not-nef")
+    if rng.random() < 0.5:
+        argv.append("--json")
+    if rng.random() < 0.4:
+        argv += _fuzz_option(rng, "--digits", rng.choice(FUZZ_DIGITS))
+    if rng.random() < 0.1:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(["--bogus", "-", "--q", "fuzz"]))
+    return argv
+
+
+class _FuzzTimeout(BaseException):
+    """Not an Exception, so no handler in the CLI can turn it into an error line."""
+
+
+def test_fuzzed_arguments_end_quickly_and_cleanly(tmp_path, capsys, monkeypatch):
+    import signal
+
+    def expire(signum, frame):
+        raise _FuzzTimeout
+
+    monkeypatch.setenv("COLUMNS", "200")  # argparse's usage on one line
+    previous = signal.signal(signal.SIGALRM, expire)
+    rng = random.Random(FUZZ_SEED)
+    try:
+        for case in range(FUZZ_CASES):
+            family = tmp_path / f"fuzz{case}.json"
+            family.write_text(json.dumps(_fuzz_document(rng)))
+            argv = _fuzz_argv(rng, family)
+            signal.setitimer(signal.ITIMER_REAL, FUZZ_SECONDS)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except _FuzzTimeout:
+                pytest.fail(f"{argv} ran past {FUZZ_SECONDS} s ({family.read_text()})")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            out, err = capsys.readouterr()
+            lines = err.splitlines()
+            if code == 2 and lines and lines[0].startswith("usage: "):
+                lines = lines[1:]  # a usage error prints argparse's usage line first
+            context = (argv, family.read_text(), err)
+            assert code in (0, 1, 2) and len(lines) <= 1, context
+            assert (code == 0) == (out != "") == (err == ""), context
+            assert "Exceeds the limit" not in err, context
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_family_file_errors(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     code, _, err = run(capsys, "threshold", "--family", f"@{missing}")

@@ -6,6 +6,8 @@ from hktwist.algebraic import AlgebraicReal, isolate_real_roots
 from hktwist.exact import UniPoly
 from hktwist.hilbert_square import (
     PBClass,
+    _part,
+    _segre_class,
     alpha,
     delta,
     ell,
@@ -35,6 +37,22 @@ def test_minimal_table_rows():
     assert rows["alpha^3*delta"].is_zero
     assert rows["alpha*delta^3"].is_zero
     assert rows["alpha*delta*sbar"].is_zero
+
+
+@pytest.mark.parametrize("u, v", [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1)])
+def test_divisor_rows_satisfy_the_fujiki_relation(u, v):
+    # x = u*alpha + v*delta with q(alpha) = a, q(delta) = -2, q(alpha, delta) = 0:
+    # integral of x^4 = 3 q(x)^2 (Fujiki constant 3 of K3^[2])
+    q_x = UniPoly((-2 * v * v, u * u))
+    assert square_intersect((alpha() * u + delta() * v) ** 4) == q_x * q_x * 3
+
+
+def test_segre_class_is_the_inverse_of_the_total_chern_class():
+    total_chern = unit() + sbar() * 24 - delta() ** 2 * 3 + sbar() ** 2 * 324
+    s = _segre_class()
+    assert s * total_chern == unit()
+    assert s == unit() + segre2() + segre2() ** 2 - sbar() ** 2 * 324
+    assert square_intersect(_part(s, 4)) == UniPoly((504,))  # s4 = s2^2 - c4
 
 
 def test_square_intersect_requires_weight4():
