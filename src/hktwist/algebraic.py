@@ -15,13 +15,19 @@ The run that certified the isolating interval keeps bisecting until it is
 narrower than 1/L; it then holds at most one such candidate, and a single
 evaluation decides.  The test is exact for every denominator.
 
-Only the Sturm-count splitting of ``_split`` halves on ``Fraction``
-endpoints.  Every loop that halves an interval after that (certification
-of each isolated root with its snapping, ``refine_to``, ``decimal``,
-``to_json``, ``compare`` and ``square``) steps one integer bisection
-kernel, :class:`_Bisection`.  It holds the polynomial with its denominators
-cleared, the endpoints as integers a < b over one positive denominator, and
-the sign of p just right of a, taken as -sign p(b), which never changes.
+Where only the greatest root is read (gamma_p, and the z-pairing's root in
+the CLI), ``largest_real_root`` walks the same splitting tree right first:
+it follows one branch down to the rightmost root's cell and certifies that
+cell alone, the very one that isolating every root would certify.
+
+Only the Sturm-count splitting of ``_split`` and that walk halve on
+``Fraction`` endpoints.  Every loop that halves an interval after that
+(certification of each isolated root with its snapping, ``refine_to``,
+``decimal``, ``to_json``, ``compare`` and ``square``) steps one integer
+bisection kernel, :class:`_Bisection`.  It holds the polynomial with its
+denominators cleared, the endpoints as integers a < b over one positive
+denominator, and the sign of p just right of a, taken as -sign p(b), which
+never changes.
 A step doubles a, b and the denominator, decides the sign of p at the
 midpoint a + b, and keeps the half on which p changes sign.  The sign comes
 from one of two passes, chosen by the level alone: up to ``TAYLOR_LEVEL`` a
@@ -522,31 +528,40 @@ def _shares_root(p: UniPoly, q: UniPoly, lo: Fraction, hi: Fraction) -> bool:
 # -- isolation -----------------------------------------------------------------
 
 
-def isolate_real_roots(poly: UniPoly) -> list[AlgebraicReal]:
-    """All real roots of ``poly``, ascending, as exact AlgebraicReals.
+def _isolation_start(poly: UniPoly) -> tuple[UniPoly, list[UniPoly], Fraction, int]:
+    """What both isolations start from: the square-free primitive part of
+    ``poly``, its Sturm chain, a strict root bound B and the number of real
+    roots in (-B, B] (0, with an empty chain, for a constant).
 
-    Works on the square-free part, so multiplicities collapse.  The Sturm
-    chain of p ends in gcd(p, p') up to a positive factor, so one remainder
-    sequence both detects a repeated root and, when there is none, is the
-    chain used for counting; only a polynomial with a repeated root is
-    divided by that gcd and gets a second chain.  Rational roots, whatever
-    their denominator, come back as exact points (by the rational root
-    theorem, see the module docstring); irrational roots carry
-    sign-straddling isolating intervals.
+    The Sturm chain of p ends in gcd(p, p') up to a positive factor, so one
+    remainder sequence both detects a repeated root and, when there is none,
+    is the chain used for counting; only a polynomial with a repeated root
+    is divided by that gcd and gets a second chain.
     """
     if poly.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     reduced = poly.primitive()
     if reduced.degree < 1:
-        return []
+        return reduced, [], Fraction(0), 0
     chain = sturm_chain(reduced)
     if chain[-1].degree >= 1:
         reduced = (reduced // chain[-1]).primitive()
         chain = sturm_chain(reduced)
     bound = cauchy_bound(reduced)
-    total = count_roots(chain, -bound, bound)
     if reduced(-bound) == 0:  # pragma: no cover - Cauchy bound is strict
         raise AssertionError("root bound not strict")
+    return reduced, chain, bound, count_roots(chain, -bound, bound)
+
+
+def isolate_real_roots(poly: UniPoly) -> list[AlgebraicReal]:
+    """All real roots of ``poly``, ascending, as exact AlgebraicReals.
+
+    Works on the square-free part, so multiplicities collapse (see
+    ``_isolation_start``).  Rational roots, whatever their denominator, come
+    back as exact points (by the rational root theorem, see the module
+    docstring); irrational roots carry sign-straddling isolating intervals.
+    """
+    reduced, chain, bound, total = _isolation_start(poly)
     roots: list[AlgebraicReal] = []
     _split(reduced, chain, -bound, bound, total, roots)
     return roots
@@ -604,9 +619,31 @@ def _certify_single(poly: UniPoly, lo: Fraction, hi: Fraction) -> AlgebraicReal:
     return AlgebraicReal(poly, lo, hi)
 
 
+def _largest_real_root(poly: UniPoly) -> AlgebraicReal | None:
+    """The greatest real root of ``poly``, or None if there is none.
+
+    Walks the tree of ``_split`` right first: a node holding several roots
+    goes to its right half if that half holds one, else to its left half
+    with the same count.  So it reaches, and certifies, exactly the cell
+    that ``_split`` certifies for the rightmost root, and no other.
+    """
+    reduced, chain, bound, count = _isolation_start(poly)
+    if count == 0:
+        return None
+    lo, hi = -bound, bound
+    while count > 1:
+        mid = (lo + hi) / 2
+        right = count_roots(chain, mid, hi)
+        if right:
+            lo, count = mid, right
+        else:
+            hi = mid
+    return _certify_single(reduced, lo, hi)
+
+
 def largest_real_root(poly: UniPoly) -> AlgebraicReal:
     """The greatest real root of ``poly``; raises if there is none."""
-    roots = isolate_real_roots(poly)
-    if not roots:
+    root = _largest_real_root(poly)
+    if root is None:
         raise ValueError("polynomial has no real roots")
-    return roots[-1]
+    return root

@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import notes, threshold
-from .algebraic import AlgebraicReal, isolate_real_roots
+from .algebraic import AlgebraicReal, largest_real_root
 from .exact import format_rational, parse_rational
 from .family import HKFamily, PRESET_NAMES, preset
 
@@ -34,8 +34,8 @@ SCHEMA = "1"
 # within threshold.MAX_POLY_BITS, which must print below the 4300-digit int
 # limit; that sets the cap, not time: the decimal of gamma_p on K3_3 at
 # q = 10^-100 takes 0.16 s at 1500 digits and 0.57 s at 4000 (in-process,
-# 2-core VM), and gamma-p at q = 7/3 on a random n = 20 table 5.5 s at 1500
-# as a fresh process.
+# 2-core VM), and gamma-p at q = 7/3 on a random n = 20 table about 4.7 s at
+# 1500 as a fresh process.
 MAX_DISPLAY_DIGITS = 1500
 
 
@@ -44,6 +44,38 @@ def _rational_arg(text: str) -> Fraction:
         return parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser that takes a negative fraction or exponent form,
+    such as -3/2 or -1e2, after a number option.
+
+    argparse reads such a value as an option string, so "--q-delta -3/2"
+    would end in "expected one argument".  Before parsing, each parser
+    joins its own number options (those parsed by ``_rational_arg``,
+    abbreviated or not) with a following value that starts with "-" and
+    parses as a rational, as "--q-delta=-3/2".  Nothing after "--" is joined.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        if args is not None:
+            args = list(args)
+            end = args.index("--") if "--" in args else len(args)
+            for i in range(end - 1, 0, -1):
+                if args[i].startswith("-") and self._is_number_option(args[i - 1]):
+                    try:
+                        parse_rational(args[i])
+                    except ValueError:
+                        continue
+                    args[i - 1 : i + 1] = [f"{args[i - 1]}={args[i]}"]
+        return super().parse_known_args(args, namespace)
+
+    def _is_number_option(self, token: str) -> bool:
+        options = [s for action in self._actions for s in action.option_strings]
+        if token not in options and token.startswith("--"):  # an abbreviation
+            matches = [s for s in options if s.startswith(token)]
+            token = matches[0] if len(matches) == 1 else token
+        return any(token in a.option_strings for a in self._actions if a.type is _rational_arg)
 
 
 def _digits_arg(text: str) -> int:
@@ -189,7 +221,7 @@ def _cmd_square_table(args) -> tuple[dict, list[str], list[str]]:
 def _cmd_square_z(args) -> tuple[dict, list[str], list[str]]:
     from . import hilbert_square as hs
     poly = hs.z_pairing()
-    top = isolate_real_roots(poly)[-1]
+    top = largest_real_root(poly)
     fields = {"polynomial": poly.to_json(), "largest_root": top.to_json(args.digits), "at": None}
     lines = [f"z-pairing(a) = {poly.render('a')}"]
     lines.append(
@@ -269,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         "or @path to a pairing-table JSON file",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hktwist",
         description="Exact positivity thresholds for twisted tangent sheaves "
         "on Hyperkahler families.",

@@ -13,7 +13,9 @@ decision.
 
 Every question reads one ``Threshold`` record per family object: the
 pairings and the polynomial are built once, and C is isolated once, when
-first asked for.
+first asked for.  gamma_p follows only the largest root of its substituted
+polynomial (the right-first walk of ``algebraic.largest_real_root``) and
+certifies that one root alone.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ from functools import cached_property
 from math import comb
 from weakref import WeakKeyDictionary
 
-from .algebraic import AlgebraicReal, isolate_real_roots
+from .algebraic import AlgebraicReal, _largest_real_root, isolate_real_roots
 from .exact import UniPoly
 from .family import HKFamily
 
 # gamma_p's time grows with the size of q (its polynomial carries powers of
 # q).  At 10^MAX_Q_DIGITS the slowest preset, K3_2 at q = 10^-100, takes
-# about 0.4 s on a 2-core VM; a larger numerator or denominator is refused.
+# about 0.16 s on a 2-core VM (in-process median of 5; 0.34 s when every
+# root was certified); a larger numerator or denominator is refused.
 MAX_Q_DIGITS = 100
 
 # A polynomial to isolate is refused when its size passes MAX_POLY_BITS: the
@@ -118,8 +121,10 @@ def gamma_p(family: HKFamily, qval: Fraction) -> AlgebraicReal:
 
     Computed without forming a quotient: the substitution t -> qval * s^2
     turns the threshold polynomial in t into one in s whose largest real
-    root is exactly sqrt(C/qval).  When every real root of p is <= 0 (or p
-    has none) the threshold is 0.  A q past ``MAX_Q_DIGITS``, or one that
+    root is exactly sqrt(C/qval).  Only that root is isolated and certified,
+    by the right-first walk of ``largest_real_root``.  When every real root
+    of p is < 0 (or p has none) the substituted polynomial has no real root
+    and the threshold is 0.  A q past ``MAX_Q_DIGITS``, or one that
     makes the substituted polynomial pass ``MAX_POLY_BITS``, is refused.
     """
     qval = Fraction(qval)
@@ -129,10 +134,9 @@ def gamma_p(family: HKFamily, qval: Fraction) -> AlgebraicReal:
         raise ValueError(f"gamma_p needs q's numerator and denominator at most 10^{MAX_Q_DIGITS}")
     poly = build_threshold_poly(family)
     substituted = _bounded(poly.compose(UniPoly((0, 0, qval))), "gamma_p's polynomial at this q")
-    roots = isolate_real_roots(substituted)
-    if not roots or roots[-1] < 0:
-        return AlgebraicReal.from_rational(0)
-    return roots[-1]
+    root = _largest_real_root(substituted)
+    # p(q*s^2) is even in s, so a largest real root is never negative.
+    return AlgebraicReal.from_rational(0) if root is None else root
 
 
 def pseff_cone_member(

@@ -623,6 +623,60 @@ def test_gamma_polynomial_with_a_tiny_q_isolates():
     assert isolate_real_roots(poly)[-1].decimal(6) == "2.24708E+100"
 
 
+# -- the right-first walk against isolating every root ------------------------
+
+
+def _largest_root_corpus():
+    from hktwist.family import preset
+    from hktwist.threshold import build_threshold_poly
+
+    rng = random.Random(16)
+    polys = []
+    for name in ("K3", "K3_2", "K3_3"):
+        poly = build_threshold_poly(preset(name))
+        polys.append(poly)
+        for _ in range(12):  # gamma_p's p(q*s^2)
+            q = Fraction(rng.randint(1, 400), rng.randint(1, 12))
+            polys.append(poly.compose(UniPoly((0, 0, q))))
+    for degree in range(1, 21):  # seeded integer polynomials, up to degree 20
+        for _ in range(2):
+            coeffs = [rng.randint(-30, 30) for _ in range(degree)]
+            polys.append(UniPoly(coeffs + [rng.choice([-3, -1, 1, 2, 7])]))
+        roots = [rng.randint(-12, 12) for _ in range(degree)]  # every root real
+        polys.append(math.prod((UniPoly((-r, rng.randint(1, 5))) for r in roots), start=UniPoly((1,))))
+    polys += [
+        UniPoly((-2, 0, 1)) ** 2 * UniPoly((-1, 1)) ** 3 * UniPoly((4, 1)),  # repeated roots
+        UniPoly((0, 1, -2, -1, 2)),  # -1, 0, 1/2 and 1, each a split point of (-2, 2]
+        UniPoly((0, -1, 2)),  # 0 and 1/2
+        UniPoly((6, 11, 6, 1)) * UniPoly((2, 0, 1)),  # -1, -2, -3 and no other real root
+        UniPoly((-1, 1)) * UniPoly((-1 - Fraction(1, 10**30), 1))  # a tight cluster
+        * UniPoly((-1 + Fraction(1, 10**30), 1)) * UniPoly((-2, 0, 1 + Fraction(1, 10**25))),
+    ]
+    return polys
+
+
+def test_largest_real_root_walk_matches_isolating_every_root():
+    """The walk certifies the very cell that ``_split`` certifies for the
+    rightmost root: same polynomial, same interval."""
+    checked = 0
+    for poly in _largest_root_corpus():
+        roots = isolate_real_roots(poly)
+        if not roots:
+            continue
+        top = largest_real_root(poly)
+        assert (top.poly, top.lo, top.hi) == (roots[-1].poly, roots[-1].lo, roots[-1].hi), poly
+        checked += 1
+    assert checked >= 100
+
+
+def test_largest_real_root_without_a_real_root_raises():
+    for poly in (UniPoly((1, 0, 1)), UniPoly((5,)), UniPoly((2, 0, 0, 0, 1)) ** 2):
+        with pytest.raises(ValueError, match="no real roots"):
+            largest_real_root(poly)
+    with pytest.raises(ValueError):
+        largest_real_root(UniPoly(()))
+
+
 # -- the Taylor form past TAYLOR_LEVEL against the Horner pass ----------------
 #
 # The reference steps the kernel as it stepped before it had a Taylor form:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from hktwist.cli import MAX_DISPLAY_DIGITS, main
+from hktwist.exact import parse_rational
 from hktwist.family import _monomials
 from hktwist.threshold import MAX_POLY_BITS
 
@@ -162,6 +163,20 @@ def test_unknown_family_is_domain_error(capsys):
     code, out, err = run(capsys, "threshold", "--family", "K5")
     assert code == 1
     assert out == "" and "unknown family" in err
+
+
+@pytest.mark.parametrize("value, shown", [("-3/2", "-3/2"), ("-1e2", "-100")])
+def test_negative_fraction_after_a_number_option(capsys, value, shown):
+    """A negative q(delta) is allowed when delta is not nef; a fraction or an
+    exponent form after the option reads as with "--q-delta=value"."""
+    code, out, err = run(
+        capsys, "cone-test", "--family", "K3", "--a", "1", "--q-delta", value, "--not-nef"
+    )
+    assert code == 0 and err == ""
+    assert f"candidate: a = 1, q(delta) = {shown}, delta nef: no" in out
+    assert (code, out) == run(
+        capsys, "cone-test", "--family", "K3", "--a", "1", f"--q-delta={value}", "--not-nef"
+    )[:2]
 
 
 def test_negative_q_is_domain_error(capsys):
@@ -342,13 +357,19 @@ FUZZ_NUMBERS = [
     "", " ", "abc", "1//2", "nan", "inf", "-inf", "\u00bd", "1_000", "0x10", "+7",
     "\u22122", "1e", "e5", "1e1.5", "--1",
 ]
+# Negative fractions and exponent forms, which argparse alone reads as
+# option strings after a number option.
+FUZZ_SIGNED = ["-3/2", "-40/7", "-1e2", "-2.5E-3", "-7e+1", "-0.5e1", "-9e-99"]
 FUZZ_FAMILIES = ["K3", "K3_2", "K3_3", "k3_3", "K3_4", "", "@"]
 FUZZ_DIGITS = ["1", "2", "6", "30", "60", "200", "0", "-3", "6.5", str(MAX_DISPLAY_DIGITS + 1)]
 
 
 def _fuzz_number(rng):
-    if rng.random() < 0.6:
+    draw = rng.random()
+    if draw < 0.5:
         return f"{rng.randint(-40, 40)}/{rng.randint(1, 9)}"
+    if draw < 0.7:
+        return rng.choice(FUZZ_SIGNED)
     return rng.choice(FUZZ_NUMBERS)
 
 
@@ -409,6 +430,24 @@ def _fuzz_argv(rng, family_file):
     return argv
 
 
+VALUE_OPTIONS = ("--family", "--digits", "--q", "--a", "--q-delta", "--alpha-sq")
+
+
+def _lacks_a_value(argv):
+    """Does an option that takes a value stand last, or before a token that
+    starts with "-" and is no rational number?"""
+    for option, value in zip(argv, argv[1:] + [None]):
+        if option in VALUE_OPTIONS:
+            if value is None:
+                return True
+            try:
+                parse_rational(value)
+            except ValueError:
+                if value.startswith("-"):
+                    return True
+    return False
+
+
 class _FuzzTimeout(BaseException):
     """Not an Exception, so no handler in the CLI can turn it into an error line."""
 
@@ -444,6 +483,7 @@ def test_fuzzed_arguments_end_quickly_and_cleanly(tmp_path, capsys, monkeypatch)
             assert code in (0, 1, 2) and len(lines) <= 1, context
             assert (code == 0) == (out != "") == (err == ""), context
             assert "Exceeds the limit" not in err, context
+            assert "expected one argument" not in err or _lacks_a_value(argv), context
     finally:
         signal.signal(signal.SIGALRM, previous)
 

@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 from fractions import Fraction
 
@@ -86,6 +87,25 @@ def test_gamma_p_values():
         gamma_p(preset("K3"), Fraction(-3))
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_gamma_p_certifies_one_root(name, monkeypatch):
+    """gamma_p certifies the largest root of p(q*s^2) alone, not every root."""
+    certified = []
+    certify_single = algebraic._certify_single
+
+    def counted_certify(poly, lo, hi):
+        certified.append(poly)
+        return certify_single(poly, lo, hi)
+
+    monkeypatch.setattr(algebraic, "_certify_single", counted_certify)
+    family = preset(name)
+    rng = random.Random(16)
+    for _ in range(12):
+        certified.clear()
+        gamma_p(family, Fraction(rng.randint(1, 400), rng.randint(1, 12)))
+        assert len(certified) == 1
+
+
 def test_cone_membership():
     fam = preset("K3")
     assert pseff_cone_member(fam, Fraction(1), Fraction(8), True) is True
@@ -164,12 +184,15 @@ def test_one_record_answers_every_question(name, monkeypatch):
 def test_poly_command_isolates_nothing(monkeypatch, capsys):
     isolated = []
 
-    def counted_isolate(poly):
-        isolated.append(poly)
-        return algebraic.isolate_real_roots(poly)
+    def counted(isolate):
+        def counted_isolate(poly):
+            isolated.append(poly)
+            return isolate(poly)
+        return counted_isolate
 
-    for module in (threshold, cli):
-        monkeypatch.setattr(module, "isolate_real_roots", counted_isolate)
+    for module, name in ((threshold, "isolate_real_roots"), (threshold, "_largest_real_root"),
+                         (cli, "largest_real_root")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     assert cli.main(["poly", "--family", "K3_3"]) == 0
     assert "6930t^3" in capsys.readouterr().out
     assert isolated == []
