@@ -47,14 +47,15 @@ def _rational_arg(text: str) -> Fraction:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """An ArgumentParser that takes a negative fraction or exponent form,
-    such as -3/2 or -1e2, after a number option.
+    """An ArgumentParser that takes a value starting with "-", such as -3/2
+    or -1e2, after a number option.
 
     argparse reads such a value as an option string, so "--q-delta -3/2"
     would end in "expected one argument".  Before parsing, each parser
     joins its own number options (those parsed by ``_rational_arg``,
-    abbreviated or not) with a following value that starts with "-" and
-    parses as a rational, as "--q-delta=-3/2".  Nothing after "--" is joined.
+    abbreviated or not) with a following token that starts with "-" and
+    names none of its options, as "--q-delta=-3/2"; ``_rational_arg`` then
+    judges the value.  Nothing after "--" is joined.
     """
 
     def parse_known_args(self, args=None, namespace=None):
@@ -62,20 +63,23 @@ class _ArgumentParser(argparse.ArgumentParser):
             args = list(args)
             end = args.index("--") if "--" in args else len(args)
             for i in range(end - 1, 0, -1):
-                if args[i].startswith("-") and self._is_number_option(args[i - 1]):
-                    try:
-                        parse_rational(args[i])
-                    except ValueError:
-                        continue
-                    args[i - 1 : i + 1] = [f"{args[i - 1]}={args[i]}"]
+                if args[i].startswith("-") and not self._named(args[i].split("=", 1)[0]):
+                    if self._is_number_option(args[i - 1]):
+                        args[i - 1 : i + 1] = [f"{args[i - 1]}={args[i]}"]
         return super().parse_known_args(args, namespace)
 
-    def _is_number_option(self, token: str) -> bool:
+    def _named(self, token: str) -> list[str]:
+        """The option strings that ``token`` names, whole or abbreviated."""
         options = [s for action in self._actions for s in action.option_strings]
-        if token not in options and token.startswith("--"):  # an abbreviation
-            matches = [s for s in options if s.startswith(token)]
-            token = matches[0] if len(matches) == 1 else token
-        return any(token in a.option_strings for a in self._actions if a.type is _rational_arg)
+        if token in options:
+            return [token]
+        return [s for s in options if token.startswith("--") and s.startswith(token)]
+
+    def _is_number_option(self, token: str) -> bool:
+        named = self._named(token)
+        return len(named) == 1 and any(
+            named[0] in a.option_strings for a in self._actions if a.type is _rational_arg
+        )
 
 
 def _digits_arg(text: str) -> int:

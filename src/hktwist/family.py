@@ -86,9 +86,9 @@ class HKFamily:
         """
         pairings = [Fraction(0)] * (self.n + 1)
         for monomial, constant in self.pairings.items():
-            size = sum(exponent for _, exponent in monomial.factors)
+            size = sum(exponent for _, exponent in monomial)
             orderings = factorial(size)
-            for _, exponent in monomial.factors:
+            for _, exponent in monomial:
                 orderings //= factorial(exponent)
             pairings[self.n - monomial.weight // 2] += (-1) ** size * orderings * constant
         return pairings
@@ -96,9 +96,7 @@ class HKFamily:
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> dict:
-        entries = sorted(
-            self.pairings.items(), key=lambda kv: (kv[0].weight, kv[0].factors)
-        )
+        entries = sorted(self.pairings.items(), key=lambda kv: (kv[0].weight, kv[0]))
         return {
             "name": self.name,
             "n": self.n,
@@ -171,7 +169,7 @@ def _monomials(weight: int, largest: int) -> Iterator[dict[int, int]]:
 
 
 def _first_missing(table: Mapping[ChernMonomial, Fraction]) -> ChernMonomial:
-    """The first monomial, by weight and then by factors, absent from an
+    """The first monomial, by weight and then as a tuple, absent from an
     incomplete table."""
     weight = 0
     while True:
@@ -179,7 +177,7 @@ def _first_missing(table: Mapping[ChernMonomial, Fraction]) -> ChernMonomial:
             m for m in map(ChernMonomial, _monomials(weight, weight)) if m not in table
         ]
         if absent:
-            return min(absent, key=lambda m: m.factors)
+            return min(absent)
         weight += 2
 
 

@@ -66,15 +66,14 @@ class SquareMonomial(NamedTuple):
     def weight(self) -> int:
         return self.alpha + self.delta + 2 * self.sbar
 
-    @property
-    def factors(self) -> tuple[int, int, int]:
-        return tuple(self)
-
     def __mul__(self, other: "SquareMonomial") -> "SquareMonomial":
         return SquareMonomial(*(x + y for x, y in zip(self, other)))
 
     def __str__(self) -> str:
-        return _monomial_str(self)
+        parts = [
+            name if e == 1 else f"{name}^{e}" for name, e in zip(self._fields, self) if e > 0
+        ]
+        return "*".join(parts) if parts else "1"
 
 
 class SquareClass(GradedSeries):
@@ -91,14 +90,6 @@ class SquareClass(GradedSeries):
 
 def _class(**exponents: int) -> SquareClass:
     return SquareClass(4, {SquareMonomial(**exponents): 1})
-
-
-def _monomial_str(key: tuple[int, int, int]) -> str:
-    names = ("alpha", "delta", "sbar")
-    parts = [
-        name if e == 1 else f"{name}^{e}" for name, e in zip(names, key) if e > 0
-    ]
-    return "*".join(parts) if parts else "1"
 
 
 def unit() -> SquareClass:
@@ -272,7 +263,7 @@ def square_chern_table() -> dict:
 
 def minimal_table() -> list[tuple[str, UniPoly]]:
     """The nine stored weight-4 rows, in display order."""
-    return [(_monomial_str(key), value) for key, value in _TABLE.items()]
+    return [(str(SquareMonomial(*key)), value) for key, value in _TABLE.items()]
 
 
 def pushforward_rows() -> list[tuple[str, UniPoly]]:

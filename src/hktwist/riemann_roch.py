@@ -1,8 +1,9 @@
 """Riemann-Roch pipeline re-deriving the Hilbert-cube pairing constants.
 
 The chain: expand the Todd series through weight 6 from its generating
-function x/(1 - e^{-x}) (via Newton power sums, odd Chern classes zero,
-and the exponential series applied to its logarithm);
+function x/(1 - e^{-x}) (the power sums of the Chern roots read off
+log c, odd Chern classes zero, and the exponential series applied to its
+logarithm);
 match the Riemann-Roch expansion of chi(L) against the Hilbert-scheme
 Euler-characteristic cubic in q = q(L); extract a second linear equation
 from the square-root-of-Todd characteristic identity; solve the resulting
@@ -59,29 +60,21 @@ def _log_todd_coeffs(order: int) -> list[Fraction]:
     return [-c for c in log_f]
 
 
-def _power_sums() -> dict[int, GradedSeries]:
-    """Power sums of the Chern roots, odd elementary symmetric terms zero."""
-    e = {k: GradedSeries.symbol(k, TRUNCATION) if k % 2 == 0 else GradedSeries(TRUNCATION)
-         for k in range(1, TRUNCATION + 1)}
-    p: dict[int, GradedSeries] = {}
-    for k in range(1, TRUNCATION + 1):
-        acc = GradedSeries(TRUNCATION)
-        for i in range(1, k):
-            term = e[i] * p[k - i]
-            acc = acc + (term if i % 2 == 1 else -term)
-        tail = e[k] * Fraction(k)
-        p[k] = acc + (tail if k % 2 == 1 else -tail)
-    return p
-
-
 @cache
 def todd6() -> GradedSeries:
-    """The Todd series through weight 6 in the symbols c2, c4, c6 (computed once)."""
+    """The Todd series through weight 6 in the symbols c2, c4, c6 (computed once).
+
+    log Td = sum_k logq_k p_k over the power sums p_k of the Chern roots,
+    and log c = sum_k (-1)^(k+1) p_k / k (Fulton, Intersection Theory, 3.2),
+    so p_k is (-1)^(k+1) k times the weight-k part of log c.
+    """
     logq = _log_todd_coeffs(TRUNCATION)
-    psums = _power_sums()
-    log_td = GradedSeries(TRUNCATION)
-    for k in range(2, TRUNCATION + 1):
-        log_td = log_td + psums[k] * logq[k]
+    c_minus_1 = GradedSeries(TRUNCATION, {_C2: 1, _C4: 1, _C6: 1})
+    log_c = c_minus_1._apply(lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
+    log_td = GradedSeries(TRUNCATION, {
+        m: logq[m.weight] * (-1) ** (m.weight + 1) * m.weight * coeff
+        for m, coeff in log_c.terms.items()
+    })
     return log_td._apply(lambda k: Fraction(1, factorial(k)))
 
 

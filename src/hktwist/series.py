@@ -6,13 +6,16 @@ above N, which is exactly the arithmetic of characteristic classes on a
 manifold of complex dimension N.  ``GradedSeries`` is keyed by Chern
 monomials in c2, c4, c6, ... (c2k has weight 2k); a subclass with another
 ``unit_monomial`` is keyed by that monomial type (``hilbert_square``).
+Monomials of either type are tuples, so a series sorts its terms by
+weight and then by the tuple.
 
 Inverse and square root are defined for series with constant term 1 and
 follow one power-series rule: for a = 1 + x, each is f(x) = sum_k f_k x^k
 with f the geometric series for 1/(1+x) or the binomial series for
-sqrt(1+x) (Fulton, Intersection Theory, 3.2).  The sum is finite because
-x^k has weight at least k times the least weight in x, and exact because
-every f_k is rational.
+sqrt(1+x) (Fulton, Intersection Theory, 3.2).  The same rule with
+log(1 + x) gives the logarithm that ``riemann_roch`` reads power sums
+from.  The sum is finite because x^k has weight at least k times the
+least weight in x, and exact because every f_k is rational.
 """
 
 from __future__ import annotations
@@ -24,66 +27,52 @@ from typing import Callable, Iterable, Mapping
 from .exact import format_rational, parse_integer, parse_rational
 
 
-class ChernMonomial:
+class ChernMonomial(tuple):
     """A monomial in the symbols c2, c4, ...: e.g. c2^2*c4.
 
-    Stored as a sorted tuple of (index, exponent) pairs with even positive
-    indices and positive exponents.  The empty monomial is the unit.
+    The tuple of its (index, exponent) pairs, sorted, with even positive
+    indices and positive exponents, so equality, hashing, ordering and
+    immutability are the tuple's.  The empty monomial is the unit.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ()
 
-    def __init__(self, factors: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+    def __new__(cls, factors: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = dict(factors)
         for index, exponent in items.items():
             if index <= 0 or index % 2 != 0:
                 raise ValueError(f"Chern symbol index must be even and positive: {index}")
             if exponent < 0:
                 raise ValueError(f"negative exponent on c{index}")
-        object.__setattr__(
-            self,
-            "factors",
-            tuple(sorted((i, e) for i, e in items.items() if e > 0)),
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChernMonomial is immutable")
+        return super().__new__(cls, sorted((i, e) for i, e in items.items() if e > 0))
 
     @property
     def weight(self) -> int:
-        return sum(index * exponent for index, exponent in self.factors)
+        return sum(index * exponent for index, exponent in self)
 
     @property
     def is_unit(self) -> bool:
-        return not self.factors
+        return not self
 
     def __mul__(self, other: "ChernMonomial") -> "ChernMonomial":
-        merged = dict(self.factors)
-        for index, exponent in other.factors:
+        merged = dict(self)
+        for index, exponent in other:
             merged[index] = merged.get(index, 0) + exponent
         return ChernMonomial(merged)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ChernMonomial):
-            return self.factors == other.factors
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.factors)
-
     def __repr__(self) -> str:
-        return f"ChernMonomial({dict(self.factors)!r})"
+        return f"ChernMonomial({dict(self)!r})"
 
     def __str__(self) -> str:
         if self.is_unit:
             return "1"
         return "*".join(
             f"c{index}" if exponent == 1 else f"c{index}^{exponent}"
-            for index, exponent in self.factors
+            for index, exponent in self
         )
 
     def to_json(self) -> dict:
-        return {str(index): exponent for index, exponent in self.factors}
+        return {str(index): exponent for index, exponent in self}
 
     @classmethod
     def from_json(cls, data: Mapping[str, int]) -> "ChernMonomial":
@@ -102,8 +91,9 @@ UNIT = ChernMonomial()
 class GradedSeries:
     """Finite series sum_m a_m * m over graded monomials, truncated by weight.
 
-    A monomial type needs a ``weight``, a product and a ``factors`` sort
-    key; ``symbol`` and the JSON form are those of Chern monomials.
+    A monomial type is a tuple with a ``weight`` and a product; terms sort
+    by weight and then as tuples.  ``symbol`` and the JSON form are those
+    of Chern monomials.
     """
 
     __slots__ = ("truncation", "terms")
@@ -247,7 +237,7 @@ class GradedSeries:
     # -- rendering / serialization ------------------------------------
 
     def sorted_terms(self) -> list[tuple]:
-        return sorted(self.terms.items(), key=lambda kv: (kv[0].weight, kv[0].factors))
+        return sorted(self.terms.items(), key=lambda kv: (kv[0].weight, kv[0]))
 
     def __str__(self) -> str:
         if not self.terms:

@@ -179,6 +179,23 @@ def test_negative_fraction_after_a_number_option(capsys, value, shown):
     )[:2]
 
 
+@pytest.mark.parametrize("value, message", [
+    ("-1e5000", "argument --q: exponent out of range in '-1e5000'"),
+    ("-1/0", "argument --q: not a rational number: '-1/0'"),
+    ("-inf", "argument --q: not a rational number: '-inf'"),
+    ("--json", "argument --q: expected one argument"),
+    ("-h", "argument --q: expected one argument"),
+])
+def test_token_after_a_number_option(capsys, value, message):
+    """A token that names no option is the number option's value, so a bad
+    negative value names its own fault; an option token leaves the number
+    option without a value."""
+    with pytest.raises(SystemExit) as info:
+        main(["gamma-p", "--family", "K3", "--q", value])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_negative_q_is_domain_error(capsys):
     code, _, err = run(capsys, "gamma-p", "--family", "K3", "--q", "-4")
     assert code == 1 and "positive" in err
@@ -430,20 +447,31 @@ def _fuzz_argv(rng, family_file):
     return argv
 
 
-VALUE_OPTIONS = ("--family", "--digits", "--q", "--a", "--q-delta", "--alpha-sq")
+NUMBER_OPTIONS = ("--q", "--a", "--q-delta", "--alpha-sq")
+VALUE_OPTIONS = ("--family", "--digits", *NUMBER_OPTIONS)
+OPTION_STRINGS = ("-h", "--help", "--json", "--not-nef", *VALUE_OPTIONS)
+
+
+def _is_option_token(token):
+    """Does the token (before any "=") name an option, whole or abbreviated?"""
+    name = token.split("=", 1)[0]
+    return name in OPTION_STRINGS or (
+        name.startswith("--") and any(s.startswith(name) for s in OPTION_STRINGS)
+    )
 
 
 def _lacks_a_value(argv):
-    """Does an option that takes a value stand last, or before a token that
-    starts with "-" and is no rational number?"""
+    """Does an option that takes a value stand last or before an option token,
+    or --family or --digits before a token that starts with "-" and is no
+    rational number?  After a number option any other token is its value."""
     for option, value in zip(argv, argv[1:] + [None]):
         if option in VALUE_OPTIONS:
-            if value is None:
+            if value is None or _is_option_token(value):
                 return True
-            try:
-                parse_rational(value)
-            except ValueError:
-                if value.startswith("-"):
+            if option not in NUMBER_OPTIONS and value.startswith("-"):
+                try:
+                    parse_rational(value)
+                except ValueError:
                     return True
     return False
 

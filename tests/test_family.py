@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -131,3 +133,31 @@ def test_cube_self_check_runs_on_every_load():
     pairings[ChernMonomial({2: 1, 4: 1})] += 1
     with pytest.raises(AssertionError, match="self-check"):
         _verify_cube_table(HKFamily("K3_3", 3, pairings))
+
+
+# to_json() texts recorded before monomials became tuples, so that the sort
+# by (weight, monomial) provably keeps the order of the sort by factors.
+K3_3_JSON = (
+    '{"name": "K3_3", "n": 3, "pairings": ['
+    '{"monomial": {}, "omega_power": 6, "constant": "15"}, '
+    '{"monomial": {"2": 1}, "omega_power": 4, "constant": "108"}, '
+    '{"monomial": {"2": 2}, "omega_power": 2, "constant": "1848"}, '
+    '{"monomial": {"4": 1}, "omega_power": 2, "constant": "2424"}, '
+    '{"monomial": {"2": 1, "4": 1}, "omega_power": 0, "constant": "14720"}, '
+    '{"monomial": {"2": 3}, "omega_power": 0, "constant": "36800"}, '
+    '{"monomial": {"6": 1}, "omega_power": 0, "constant": "3200"}]}'
+)
+N6_ORDER = [
+    "1", "c2", "c2^2", "c4", "c2*c4", "c2^3", "c6", "c2*c6", "c2^2*c4", "c2^4", "c4^2", "c8",
+    "c2*c4^2", "c2*c8", "c2^2*c6", "c2^3*c4", "c2^5", "c4*c6", "c10", "c2*c4*c6", "c2*c10",
+    "c2^2*c4^2", "c2^2*c8", "c2^3*c6", "c2^4*c4", "c2^6", "c4*c8", "c4^3", "c6^2", "c12",
+]
+N6_SHA256 = "06b0dd83f74551f048c6edf40245ab22e159745f78ffe9eb8184fed4e941b471"
+
+
+def test_to_json_text_is_pinned():
+    assert json.dumps(preset("K3_3").to_json()) == K3_3_JSON
+    data = HKFamily("random", 6, _random_table(random.Random(6), 6)).to_json()
+    order = [str(ChernMonomial.from_json(entry["monomial"])) for entry in data["pairings"]]
+    assert order == N6_ORDER
+    assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == N6_SHA256

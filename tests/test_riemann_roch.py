@@ -1,7 +1,10 @@
 from fractions import Fraction
+from math import factorial
 
 from hktwist.family import preset
 from hktwist.riemann_roch import (
+    TRUNCATION,
+    _log_todd_coeffs,
     chi_cube_poly,
     cube_chern_numbers,
     derivation_trace,
@@ -13,7 +16,7 @@ from hktwist.riemann_roch import (
     sqrt_todd6,
     todd6,
 )
-from hktwist.series import ChernMonomial, UNIT
+from hktwist.series import ChernMonomial, GradedSeries, UNIT
 
 C2 = ChernMonomial({2: 1})
 C2SQ = ChernMonomial({2: 2})
@@ -32,6 +35,26 @@ def test_todd_series_through_weight6():
     assert td.coeff(C2CUBE) == Fraction(1, 6048)
     assert td.coeff(C2C4) == Fraction(-1, 6720)
     assert td.coeff(C6) == Fraction(1, 30240)
+
+
+def _newton_power_sums():
+    """Newton's identities with the odd Chern classes zero: p2, p4, p6."""
+    c2, c4, c6 = (GradedSeries.symbol(k, TRUNCATION) for k in (2, 4, 6))
+    return {2: c2 * -2, 4: c2 * c2 * 2 - c4 * 4, 6: c2**3 * -2 + c2 * c4 * 6 - c6 * 6}
+
+
+def test_power_sums_are_read_off_log_c():
+    """(-1)^(k+1) k times the weight-k part of log c(X) is Newton's p_k, and
+    the Todd series built from Newton's power sums is todd6()."""
+    c_minus_1 = GradedSeries(TRUNCATION, {C2: 1, C4: 1, C6: 1})
+    log_c = c_minus_1._apply(lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
+    newton = _newton_power_sums()
+    for k in range(1, TRUNCATION + 1):
+        read_off = GradedSeries(TRUNCATION, log_c.component(k)) * ((-1) ** (k + 1) * k)
+        assert read_off == newton.get(k, GradedSeries(TRUNCATION)), k
+    logq = _log_todd_coeffs(TRUNCATION)
+    log_td = sum((p * logq[k] for k, p in newton.items()), GradedSeries(TRUNCATION))
+    assert log_td._apply(lambda k: Fraction(1, factorial(k))) == todd6()
 
 
 def test_sqrt_todd_coefficients():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hktwist.family import HKFamily
 from hktwist.series import ChernMonomial, GradedSeries, UNIT
 
 
@@ -24,6 +25,41 @@ def test_monomial_weight_and_mul():
     assert m.weight == 8
     assert c({2: 1}) * c({2: 1, 4: 1}) == c({2: 2, 4: 1})
     assert UNIT.weight == 0 and UNIT.is_unit
+
+
+def test_monomial_is_one_value_in_every_form():
+    """A monomial from a dict, from pairs in any order or from JSON is one
+    value: equal, hashed alike, sorted as its pair tuple, immutable."""
+    forms = [
+        ChernMonomial({2: 2, 4: 1, 6: 0}),
+        ChernMonomial([(4, 1), (2, 2)]),
+        ChernMonomial(((2, 2), (4, 1))),
+        ChernMonomial.from_json({"4": 1, "2": 2}),
+    ]
+    for form in forms:
+        assert form == forms[0] and hash(form) == hash(forms[0])
+        assert tuple(form) == ((2, 2), (4, 1))
+        assert repr(form) == "ChernMonomial({2: 2, 4: 1})"
+        assert str(form) == "c2^2*c4"
+        assert form.to_json() == {"2": 2, "4": 1}
+        with pytest.raises(AttributeError):
+            form.weight = 0
+        with pytest.raises(AttributeError):
+            form.extra = 1
+    assert ChernMonomial({2: 0}) == UNIT and hash(ChernMonomial({2: 0})) == hash(UNIT)
+    assert (repr(UNIT), str(UNIT), UNIT.to_json()) == ("ChernMonomial({})", "1", {})
+    monomials = [c({6: 1}), c({2: 1, 4: 1}), UNIT, c({2: 3}), c({4: 1}), c({2: 1})]
+    assert sorted(monomials) == sorted(monomials, key=tuple)
+    assert [str(m) for m in sorted(monomials)] == ["1", "c2", "c2*c4", "c2^3", "c4", "c6"]
+
+    table = {ChernMonomial(): 3, ChernMonomial([(2, 1)]): 30,
+             ChernMonomial.from_json({"4": 1}): 324, ChernMonomial({2: 2}): 828}
+    family = HKFamily("forms", 2, table)
+    assert family.pair(ChernMonomial.from_json({"2": 2})) == 828
+    assert family.pair(ChernMonomial({4: 1, 2: 0})) == 324
+    assert family.pair(ChernMonomial.from_json({"2": 1})) == 30
+    assert family.pair(ChernMonomial.from_json({})) == 3
+    assert GradedSeries(4, table).coeff(ChernMonomial([(2, 2)])) == 828
 
 
 def test_series_truncation_drops_heavy_terms():
