@@ -23,12 +23,16 @@ cell alone, the very one that isolating every root would certify.
 Only the Sturm-count splitting of ``_split`` and that walk halve on
 ``Fraction`` endpoints.  Every loop that halves an interval after that
 (certification of each isolated root with its snapping, ``refine_to``,
-``decimal``, ``to_json``, ``compare`` and ``square``) steps one integer
+``decimal``, ``to_json``, ``compare`` and ``square``) runs one integer
 bisection kernel, :class:`_Bisection`.  It holds the polynomial with its
 denominators cleared, the endpoints as integers a < b over one positive
 denominator, and the sign of p just right of a, taken as -sign p(b), which
 never changes.
-A step doubles a, b and the denominator, decides the sign of p at the
+It descends in runs: one call advances many levels in a local loop, to a
+level its caller works out beforehand.  ``refine_to`` and the 1/L test below
+compute the first level narrow enough; a certified decimal skips at once
+every level whose endpoints are provably too far apart to render alike.
+Each level doubles a, b and the denominator, decides the sign of p at the
 midpoint a + b, and keeps the half on which p changes sign.  The sign comes
 from one of two passes, chosen by the level alone: up to ``TAYLOR_LEVEL`` a
 homogeneous integer Horner pass, whose products grow with the level; past
@@ -53,16 +57,17 @@ from typing import Iterable, Sequence
 from .exact import DEFAULT_SIG_DIGITS, UniPoly, decimal_str, format_rational
 
 
-# A ``_Bisection`` step to a level above this one reads the Taylor form, not
-# a Horner pass.  Time per step, Horner over Taylor (two runs, each the best
-# of 11 runs of 64 steps, on a 2-core VM), at levels 256 / 384 / 448 / 640 /
-# 1024: for degree 2 (C(K3_2), 4 + 4*sqrt(2)) 0.5-0.8 / 0.6-0.8 / 0.8-0.9 /
-# 1.0-1.6 / 1.5-1.7; for degrees 3, 6 and 20 (C(K3_3), gamma_p(K3_3, 7/3), C
-# of a random n = 20 table) 0.65-1.1 / 1.0-1.8 / 1.2-2.2 / 1.2-4.1 / 2.3-5.4.
-# With the switch at 256, the 120-digit decimals (about 400 levels) of
-# C(K3_2), C(K3_3) and 4 + 4*sqrt(2) took 12-16 % longer; with it anywhere
-# from 448 to 640, a cycle of the benchmark's digits workload took the same.
-TAYLOR_LEVEL = 448
+# ``_Bisection.descend`` reaches a level above this one by a Taylor-form step,
+# not a Horner pass.  Time of one descent from level 0 to 200 / 400 / 830 /
+# 1660 / 3320 levels (where 60-, 120-, 250-, 500- and 1000-digit decimals
+# end), with the switch here over the switch at 448, in two runs, each the
+# best of 7, on a 2-core VM: for degree 2 (C(K3_2), 4 + 4*sqrt(2)) 1.00-1.01 /
+# 0.92-0.94 / 0.94-0.96 / 0.97-0.99 / 0.98-0.99; for degrees 3, 4 and 6
+# (C(K3_3), gamma_p(K3_2, 7/3), gamma_p(K3_3, 7/3)) 0.90-1.01 / 0.74-0.89 /
+# 0.88-1.01 / 0.73-0.97 / 0.98-1.11.  With the switch at 192 the 200-level
+# descents of degrees 2 to 4 took 1-4 % longer, so 60-digit decimals stay on
+# the Horner pass.
+TAYLOR_LEVEL = 256
 
 
 # -- Sturm machinery ------------------------------------------------------
@@ -220,8 +225,7 @@ class AlgebraicReal:
         if self.hi - self.lo <= width:
             return self
         run = _Bisection(self.poly, self.lo, self.hi)
-        while run.wider_than(width):
-            run.step()
+        run.descend(run.level_within(width))
         return run.result()
 
     # -- rendering ----------------------------------------------------------
@@ -251,21 +255,28 @@ class AlgebraicReal:
 
         So while (hi - lo) * 10^(sig_digits - 1) > M the renderings must
         differ and are skipped; every skipped check would have failed.
+
+        Over the kernel's common denominator s * 2^k that test reads
+        spread > max(-a, b), with spread = (b - a) * 10^(sig_digits - 1)
+        fixed.  At level k, max(-a, b) <= max(|a0|, |b0|) * 2^k <
+        2^(top + k) for the level-0 ends a0, b0 and top the bit length of
+        max(|a0|, |b0|), so the test holds at every level up to
+        spread.bit_length() - top - 1, and the run descends there in one go.
         """
         if self.is_rational or sig_digits < 1:  # decimal_str refuses sig_digits < 1
             return decimal_str(self.lo, sig_digits), self.lo, self.hi
         run = _Bisection(self.poly, self.lo, self.hi)
-        # Over the common denominator the width numerator b - a never changes.
         spread = (run.b - run.a) * 10 ** (sig_digits - 1)
-        while True:
+        level = spread.bit_length() - max(abs(run.a), abs(run.b)).bit_length() - 1
+        while not run.descend(level):
             if spread <= max(-run.a, run.b):
                 lo, hi = run.lo, run.hi
                 rendered = decimal_str(lo, sig_digits)
                 if rendered == decimal_str(hi, sig_digits):
                     return rendered, lo, hi
-            if run.step():
-                point = run.lo
-                return decimal_str(point, sig_digits), point, point
+            level = run.k + 1
+        point = run.lo
+        return decimal_str(point, sig_digits), point, point
 
     def to_json(self, sig_digits: int = DEFAULT_SIG_DIGITS) -> dict:
         rendered, lo, hi = self._decimal_refined(sig_digits)
@@ -409,24 +420,29 @@ class _Bisection:
     which Horner's rule evaluates with integer products and shifts.  The
     sign p takes left of the root is read as -sign p(hi), so lo may start
     on a root of p outside the interval (the neighbour isolated to the
-    left, see ``_certify_single``).  After a step that hits the root,
-    a == b, and the run is not stepped again.
+    left, see ``_certify_single``).  ``descend(level)`` runs the levels up
+    to ``level`` in one loop on local variables, and ``step`` is a descent
+    by one level; a run that goes there level by level or in one descent
+    ends on the same interval.  After a level that hits the root, a == b,
+    and the run is not descended again.
 
-    Horner's products grow with k, so a step to a level above
-    ``TAYLOR_LEVEL`` reads the interval's Taylor form ``taylor`` instead,
-    built by the first such step: the coefficients, lowest degree first, of
+    Horner's products grow with k, so a level above ``TAYLOR_LEVEL`` reads
+    the interval's Taylor form ``taylor`` instead, built on the way to the
+    first such level: the coefficients, lowest degree first, of
     Q(y) = P(a + (b - a) * y), which is p(lo + (hi - lo) * y) times the
-    positive factor (s * 2^k)^d times the cleared denominators.  Every step
+    positive factor (s * 2^k)^d times the cleared denominators.  Every level
     keeps that invariant on the halved interval: the left half's form is
     2^d * Q(y / 2), q_i shifted left by d - i; the sign of p at the midpoint
     is the sign of that form at y = 1, the sum of its coefficients; the
-    right half's form is its Taylor shift by 1, d(d + 1)/2 additions.
-    Since each pass reads p(mid) times a positive factor, both give the same
-    sign, so the intervals do not depend on the level of the switch, which
-    was set from per-step timings of the two passes (see ``TAYLOR_LEVEL``).
+    right half's form is its Taylor shift by 1, d(d + 1)/2 additions.  The
+    shifts and the order of the additions depend on d alone, so ``plan``
+    holds them from the moment the form is built.  Since each pass reads
+    p(mid) times a positive factor, both give the same sign, so the
+    intervals do not depend on the level of the switch, which was set from
+    timings of whole descents (see ``TAYLOR_LEVEL``).
     """
 
-    __slots__ = ("poly", "terms", "taylor", "a", "b", "s", "k", "lo_sign")
+    __slots__ = ("poly", "terms", "taylor", "plan", "a", "b", "s", "k", "lo_sign")
 
     def __init__(self, poly: UniPoly, lo: Fraction, hi: Fraction):
         self.poly = poly
@@ -437,6 +453,7 @@ class _Bisection:
         clear = math.lcm(*(c.denominator for c in poly.coeffs))
         self.terms = [int(c * clear) * self.s**j for j, c in enumerate(reversed(poly.coeffs))]
         self.taylor: list[int] | None = None
+        self.plan: tuple[list[tuple[int, int]], list[int]] | None = None
         self.lo_sign = -self._sign_at(self.b)
 
     def _sign_at(self, x: int) -> int:
@@ -448,52 +465,84 @@ class _Bisection:
             shift += k
         return (acc > 0) - (acc < 0)
 
-    def _taylor_form(self) -> list[int]:
-        """Coefficients of Q(y) = P(a + (b - a) * y) at the current level."""
-        k, a = self.k, self.a
+    def _build_taylor(self, a: int, b: int, k: int) -> None:
+        """The Taylor form of [a, b] at level k, Q(y) = P(a + (b - a) * y),
+        and its plan: the shift of each coefficient that halves it to the
+        left, and the order of the additions that shift it by 1."""
         q = [t << (k * j) for j, t in enumerate(self.terms)][::-1]
         d = len(q) - 1
-        for i in range(d):  # Taylor shift by a
-            for j in range(d - 1, i - 1, -1):
-                q[j] += a * q[j + 1]
-        width = self.b - self.a
-        return [c * width**i for i, c in enumerate(q)]
+        order = [j for i in range(d) for j in range(d - 1, i - 1, -1)]
+        for j in order:  # Taylor shift by a
+            q[j] += a * q[j + 1]
+        width = b - a
+        self.taylor = [c * width**i for i, c in enumerate(q)]
+        self.plan = [(i, d - i) for i in range(d)], order
 
-    def _taylor_sign(self) -> int:
-        """Sign of p at the midpoint, read from the Taylor form (built on
-        first use, for the interval before halving); the form then moves to
-        the half that the step keeps."""
-        q = self.taylor
-        if q is None:
-            q = self.taylor = self._taylor_form()
-        d = len(q) - 1
-        for i in range(d):  # the left half
-            q[i] <<= d - i
-        total = sum(q)
-        sign = (total > 0) - (total < 0)
-        if sign == self.lo_sign:
-            for i in range(d):  # the right half: Taylor shift by 1
-                for j in range(d - 1, i - 1, -1):
-                    q[j] += q[j + 1]
-        return sign
+    def descend(self, level: int) -> bool:
+        """Halve the interval until it is at ``level`` (nothing if it is
+        there already); True, with a == b, if a midpoint on the way is the
+        root, where the run then stops.  Up to ``TAYLOR_LEVEL`` a level is a
+        Horner pass, past it the Taylor-form halving (see the class)."""
+        a, b, k = self.a, self.b, self.k
+        left = self.lo_sign > 0  # p's sign left of the root
+        terms = self.terms
+        hit = False
+        stop = min(level, TAYLOR_LEVEL)
+        while k < stop:
+            mid = a + b
+            a <<= 1
+            b <<= 1
+            k += 1
+            acc = shift = 0
+            for t in terms:
+                acc = acc * mid + (t << shift)
+                shift += k
+            if acc == 0:
+                a = b = mid
+                hit = True
+                break
+            if (acc > 0) == left:
+                a = mid
+            else:
+                b = mid
+        if not hit and k < level:
+            if self.taylor is None:
+                self._build_taylor(a, b, k)
+            q = self.taylor
+            halve, order = self.plan
+            while k < level:
+                mid = a + b
+                a <<= 1
+                b <<= 1
+                k += 1
+                for i, shift in halve:
+                    q[i] <<= shift
+                total = sum(q)
+                if total == 0:
+                    a = b = mid
+                    hit = True
+                    break
+                if (total > 0) == left:
+                    a = mid
+                    for j in order:
+                        q[j] += q[j + 1]
+                else:
+                    b = mid
+        self.a, self.b, self.k = a, b, k
+        return hit
 
     def step(self) -> bool:
-        """Halve the interval; True if the midpoint is the root."""
-        mid = self.a + self.b
-        self.a <<= 1
-        self.b <<= 1
-        self.k += 1
-        sign = self._sign_at(mid) if self.k <= TAYLOR_LEVEL else self._taylor_sign()
-        if sign == 0:
-            self.a = self.b = mid
-        elif sign == self.lo_sign:
-            self.a = mid
-        else:
-            self.b = mid
-        return sign == 0
+        """Halve the interval once; True if the midpoint is the root."""
+        return self.descend(self.k + 1)
 
-    def wider_than(self, width: Fraction) -> bool:
-        return (self.b - self.a) * width.denominator > (width.numerator * self.s) << self.k
+    def level_within(self, width: Fraction) -> int:
+        """The first level at which the interval is at most ``width`` wide:
+        the least k with (b - a) * den <= (num * s) << k, since b - a over
+        s * 2^k keeps its numerator from level to level."""
+        span = (self.b - self.a) * width.denominator
+        unit = width.numerator * self.s
+        k = max(span.bit_length() - unit.bit_length(), 0)
+        return k + 1 if unit << k < span else k
 
     @property
     def lo(self) -> Fraction:
@@ -610,9 +659,8 @@ def _certify_single(poly: UniPoly, lo: Fraction, hi: Fraction) -> AlgebraicReal:
             return AlgebraicReal.from_rational(run.lo)
     lo, hi = run.lo, run.hi
     lead = abs(poly.leading)
-    while run.wider_than(1 / lead):
-        if run.step():
-            return AlgebraicReal.from_rational(run.lo)
+    if run.descend(run.level_within(1 / lead)):
+        return AlgebraicReal.from_rational(run.lo)
     candidate = Fraction(math.floor(run.lo * lead) + 1, lead)
     if candidate < run.hi and poly(candidate) == 0:
         return AlgebraicReal.from_rational(candidate)

@@ -822,3 +822,90 @@ def test_square_folding_a_point_past_the_switch_matches_reference():
     width = Fraction(1, 2**470)
     assert (x.refine_to(width).lo, x.refine_to(width).hi) == _ref_refine(x, width)
     assert _same_number(x.square(), _ref_square(x))
+
+
+# -- runs of levels against single steps --------------------------------------
+#
+# ``descend`` runs many levels in one loop, and certified decimals and
+# ``refine_to`` compute how deep to go before they descend.  The reference
+# steps ``_HornerRun`` one level at a time.
+
+_RUN_LEVELS = (1, 7, 200, TAYLOR_LEVEL - 1, TAYLOR_LEVEL, TAYLOR_LEVEL + 1, TAYLOR_LEVEL + 600)
+
+
+def _planted_hit():
+    """_DEEP is the root that the run from (1, 2] hits at level 480."""
+    return AlgebraicReal(UniPoly((-_DEEP, 1)) * UniPoly((-5, 0, 1)), Fraction(1), Fraction(2))
+
+
+def _horner_states(x, levels):
+    """(a, b, k, hit) of single Horner steps at each of ``levels``: the
+    state at that level, or at the hit if the run hits the root before."""
+    ref, hit, states = _HornerRun(x.poly, x.lo, x.hi), False, {}
+    for level in sorted(levels):
+        while ref.k < level and not hit:
+            hit = ref.step()
+        states[level] = (ref.a, ref.b, ref.k, hit)
+    return states
+
+
+@pytest.mark.parametrize("name", [*_TAYLOR_ROOTS, "planted hit at level 480"])
+def test_one_descent_matches_single_steps(name):
+    x = _TAYLOR_ROOTS[name]() if name in _TAYLOR_ROOTS else _planted_hit()
+    states = _horner_states(x, _RUN_LEVELS)
+    for level in _RUN_LEVELS:
+        run = _Bisection(x.poly, x.lo, x.hi)
+        hit = run.descend(level)
+        assert (run.a, run.b, run.k, hit) == states[level], level
+    deepest = (TAYLOR_LEVEL + 600, False) if name in _TAYLOR_ROOTS else (480, True)
+    assert states[TAYLOR_LEVEL + 600][2:] == deepest
+
+
+# The named roots among them: C(K3_2), C(K3_3), 4 + 4*sqrt(2) and two gamma_p.
+_DECIMAL_ROOTS = {name: root for name, root in _TAYLOR_ROOTS.items() if "n = 20" not in name}
+
+
+@pytest.mark.parametrize("name", _DECIMAL_ROOTS)
+def test_decimal_interval_is_the_first_agreeing_level(name):
+    """The to_json interval is the single-step interval at the first level k
+    whose ends render alike: the one at k - 1 renders differently, and at no
+    level up to the blind descent's could the ends have rendered alike."""
+    x = _DECIMAL_ROOTS[name]()
+    width = x.hi - x.lo
+    for digits in (6, 60, 120, 250, 1000):
+        doc = x.to_json(digits)
+        lo, hi = (Fraction(end) for end in doc["interval"])
+        k = (width / (hi - lo)).numerator.bit_length() - 1
+        assert hi - lo == width / 2**k
+        assert decimal_str(lo, digits) == decimal_str(hi, digits) == doc["decimal"]
+
+        ref = _HornerRun(x.poly, x.lo, x.hi)
+        spread = (ref.b - ref.a) * 10 ** (digits - 1)
+        blind = spread.bit_length() - max(abs(ref.a), abs(ref.b)).bit_length() - 1
+        assert 0 < blind < k
+        while ref.k < k - 1:
+            if ref.k <= blind:
+                assert spread > max(-ref.a, ref.b)
+            assert not ref.step()
+        before = ref.interval()
+        assert decimal_str(before[0], digits) != decimal_str(before[1], digits)
+        assert not ref.step()
+        assert ref.interval() == (lo, hi)
+
+
+@pytest.mark.parametrize("name", _DECIMAL_ROOTS)
+def test_refine_to_stops_at_the_first_narrow_enough_level(name):
+    """Widths exactly w / 2^k for the isolating width w, and one unit of
+    their denominator either side, against single steps."""
+    x = _DECIMAL_ROOTS[name]()
+    width = x.hi - x.lo
+    ref, intervals = _HornerRun(x.poly, x.lo, x.hi), [(x.lo, x.hi)]
+    while ref.k < max(_RUN_LEVELS) + 1:
+        assert not ref.step()
+        intervals.append(ref.interval())
+    for level in _RUN_LEVELS:
+        exact = width / 2**level
+        unit = Fraction(1, exact.denominator)
+        for target, expected in ((exact, level), (exact - unit, level + 1), (exact + unit, level)):
+            refined = x.refine_to(target)
+            assert (refined.lo, refined.hi) == intervals[expected], (level, target)
