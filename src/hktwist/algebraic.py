@@ -15,13 +15,15 @@ The run that certified the isolating interval keeps bisecting until it is
 narrower than 1/L; it then holds at most one such candidate, and a single
 evaluation decides.  The test is exact for every denominator.
 
-Where only the greatest root is read (gamma_p, and the z-pairing's root in
-the CLI), ``largest_real_root`` walks the same splitting tree right first:
-it follows one branch down to the rightmost root's cell and certifies that
-cell alone, the very one that isolating every root would certify.
+One walk of the Sturm splitting tree, ``_descending_roots``, isolates the
+roots greatest first, right half first, certifying each root's cell as it
+reaches it.  ``isolate_real_roots`` runs it to the end and reverses;
+where only the greatest root is read (gamma_p, and the z-pairing's root in
+the CLI), ``largest_real_root`` stops after the first, so it follows one
+branch down to the rightmost root's cell and certifies that cell alone.
 
-Only the Sturm-count splitting of ``_split`` and that walk halve on
-``Fraction`` endpoints.  Every loop that halves an interval after that
+Only that Sturm-count splitting halves on ``Fraction`` endpoints.  Every
+loop that halves an interval after that
 (certification of each isolated root with its snapping, ``refine_to``,
 ``decimal``, ``to_json``, ``compare`` and ``square``) runs one integer
 bisection kernel, :class:`_Bisection`.  It holds the polynomial with its
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exact import DEFAULT_SIG_DIGITS, UniPoly, decimal_str, format_rational
 
@@ -577,21 +579,37 @@ def _shares_root(p: UniPoly, q: UniPoly, lo: Fraction, hi: Fraction) -> bool:
 # -- isolation -----------------------------------------------------------------
 
 
-def _isolation_start(poly: UniPoly) -> tuple[UniPoly, list[UniPoly], Fraction, int]:
-    """What both isolations start from: the square-free primitive part of
-    ``poly``, its Sturm chain, a strict root bound B and the number of real
-    roots in (-B, B] (0, with an empty chain, for a constant).
+def isolate_real_roots(poly: UniPoly) -> list[AlgebraicReal]:
+    """All real roots of ``poly``, ascending, as exact AlgebraicReals.
 
-    The Sturm chain of p ends in gcd(p, p') up to a positive factor, so one
-    remainder sequence both detects a repeated root and, when there is none,
-    is the chain used for counting; only a polynomial with a repeated root
-    is divided by that gcd and gets a second chain.
+    Works on the square-free part, so multiplicities collapse (see
+    ``_descending_roots``).  Rational roots, whatever their denominator, come
+    back as exact points (by the rational root theorem, see the module
+    docstring); irrational roots carry sign-straddling isolating intervals.
+    """
+    return list(_descending_roots(poly))[::-1]
+
+
+def _descending_roots(poly: UniPoly) -> Iterator[AlgebraicReal]:
+    """The real roots of ``poly``, greatest first, certified one at a time.
+
+    It works on the square-free primitive part.  The Sturm chain of p ends
+    in gcd(p, p') up to a positive factor, so one remainder sequence both
+    detects a repeated root and, when there is none, is the chain used for
+    counting; only a polynomial with a repeated root is divided by that gcd
+    and gets a second chain.  It then bisects (-B, B], B a strict root
+    bound, right half first, until each piece holds one root, and certifies
+    that piece when it reaches it.  A node's halves get the same counts
+    whichever half is counted, so the tree and its cells do not depend on
+    the order of the walk; a caller that stops after the first root has
+    followed one branch down to the greatest root's cell.  A stack, not
+    recursion: close roots need more levels than Python allows frames.
     """
     if poly.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     reduced = poly.primitive()
     if reduced.degree < 1:
-        return reduced, [], Fraction(0), 0
+        return
     chain = sturm_chain(reduced)
     if chain[-1].degree >= 1:
         reduced = (reduced // chain[-1]).primitive()
@@ -599,43 +617,16 @@ def _isolation_start(poly: UniPoly) -> tuple[UniPoly, list[UniPoly], Fraction, i
     bound = cauchy_bound(reduced)
     if reduced(-bound) == 0:  # pragma: no cover - Cauchy bound is strict
         raise AssertionError("root bound not strict")
-    return reduced, chain, bound, count_roots(chain, -bound, bound)
-
-
-def isolate_real_roots(poly: UniPoly) -> list[AlgebraicReal]:
-    """All real roots of ``poly``, ascending, as exact AlgebraicReals.
-
-    Works on the square-free part, so multiplicities collapse (see
-    ``_isolation_start``).  Rational roots, whatever their denominator, come
-    back as exact points (by the rational root theorem, see the module
-    docstring); irrational roots carry sign-straddling isolating intervals.
-    """
-    reduced, chain, bound, total = _isolation_start(poly)
-    roots: list[AlgebraicReal] = []
-    _split(reduced, chain, -bound, bound, total, roots)
-    return roots
-
-
-def _split(
-    poly: UniPoly,
-    chain: Sequence[UniPoly],
-    lo: Fraction,
-    hi: Fraction,
-    count: int,
-    out: list[AlgebraicReal],
-) -> None:
-    """Bisect (lo, hi] until each piece holds one root, leftmost first.  A stack,
-    not recursion: close roots need more levels than Python allows frames."""
-    pending = [(lo, hi, count)]
+    pending = [(-bound, bound, count_roots(chain, -bound, bound))]
     while pending:
         lo, hi, count = pending.pop()
         if count == 1:
-            out.append(_certify_single(poly, lo, hi))
+            yield _certify_single(reduced, lo, hi)
         elif count > 1:
             mid = (lo + hi) / 2
-            left = count_roots(chain, lo, mid)
-            pending.append((mid, hi, count - left))
-            pending.append((lo, mid, left))
+            right = count_roots(chain, mid, hi)
+            pending.append((lo, mid, count - right))
+            pending.append((mid, hi, right))
 
 
 def _certify_single(poly: UniPoly, lo: Fraction, hi: Fraction) -> AlgebraicReal:
@@ -668,25 +659,10 @@ def _certify_single(poly: UniPoly, lo: Fraction, hi: Fraction) -> AlgebraicReal:
 
 
 def _largest_real_root(poly: UniPoly) -> AlgebraicReal | None:
-    """The greatest real root of ``poly``, or None if there is none.
-
-    Walks the tree of ``_split`` right first: a node holding several roots
-    goes to its right half if that half holds one, else to its left half
-    with the same count.  So it reaches, and certifies, exactly the cell
-    that ``_split`` certifies for the rightmost root, and no other.
-    """
-    reduced, chain, bound, count = _isolation_start(poly)
-    if count == 0:
-        return None
-    lo, hi = -bound, bound
-    while count > 1:
-        mid = (lo + hi) / 2
-        right = count_roots(chain, mid, hi)
-        if right:
-            lo, count = mid, right
-        else:
-            hi = mid
-    return _certify_single(reduced, lo, hi)
+    """The greatest real root of ``poly``, or None if there is none: the
+    first root of ``_descending_roots``, the same cell ``isolate_real_roots``
+    gives it."""
+    return next(_descending_roots(poly), None)
 
 
 def largest_real_root(poly: UniPoly) -> AlgebraicReal:

@@ -13,7 +13,8 @@ caution notes.  ``main`` adds the envelope, ``schema``/``command``/``notes``
 to the JSON document or one ``note:`` line per note to the text.
 
 Exit codes: 0 success, 1 domain error (unknown family, bad family file,
-out-of-range q, too large a polynomial), 2 usage error (or too many digits).
+out-of-range q or alpha^2, too large a polynomial), 2 usage error (or too
+many digits).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 from . import notes, threshold
 from .algebraic import AlgebraicReal, largest_real_root
-from .exact import format_rational, parse_rational
+from .exact import MAX_DIGITS, format_rational, parse_rational
 from .family import HKFamily, PRESET_NAMES, preset
 
 SCHEMA = "1"
@@ -37,6 +38,12 @@ SCHEMA = "1"
 # 2-core VM), and gamma-p at q = 7/3 on a random n = 20 table about 4.7 s at
 # 1500 as a fresh process.
 MAX_DISPLAY_DIGITS = 1500
+
+# The square commands print quadratics in a = --alpha-sq.  With its numerator
+# and denominator at most 10^MAX_ALPHA_SQ_DIGITS, each printed value has at
+# most twice that many digits plus its coefficients' few, below the
+# interpreter's 4300-digit limit on printing an int; a larger one is refused.
+MAX_ALPHA_SQ_DIGITS = 2000
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -92,15 +99,44 @@ def _digits_arg(text: str) -> int:
     return value
 
 
+class JSONNumber(Fraction):
+    """A family file's number, read exactly from its text, which is also how
+    it prints: an error names it as written.  A literal over
+    ``exact.MAX_DIGITS`` characters, which no table needs and an int could
+    not print, is refused."""
+
+    __slots__ = ("text",)
+
+    def __new__(cls, text: str):
+        if len(text) > MAX_DIGITS:
+            raise ValueError(f"a number of {len(text)} characters, over {MAX_DIGITS}")
+        self = super().__new__(cls, parse_rational(text))
+        self.text = text
+        return self
+
+    def __repr__(self) -> str:
+        return self.text
+
+    __str__ = __repr__
+
+
 def load_family(selector: str) -> HKFamily:
-    """A preset name (case-insensitive) or @path to a pairing-table JSON file."""
+    """A preset name (case-insensitive) or @path to a pairing-table JSON file.
+
+    A file's numbers are read exactly from their text (no binary float),
+    within the bounds of ``JSONNumber``.
+    """
     if selector.startswith("@"):
         path = selector[1:]
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                data = json.load(fh)
+                data = json.load(
+                    fh, parse_float=JSONNumber, parse_int=lambda text: int(JSONNumber(text))
+                )
             except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"family file {path!r} is not valid JSON: {exc}")
+            except ValueError as exc:
+                raise ValueError(f"family file {path!r}: {exc}")
         try:
             return HKFamily.from_json(data)
         except KeyError as exc:
@@ -222,8 +258,19 @@ def _cmd_square_table(args) -> tuple[dict, list[str], list[str]]:
     return fields, lines, [notes.NOTE_EXACT]
 
 
+def _alpha_sq(value: Fraction) -> Fraction:
+    """``value``, or a ValueError past ``MAX_ALPHA_SQ_DIGITS``."""
+    if max(abs(value.numerator), value.denominator) > 10**MAX_ALPHA_SQ_DIGITS:
+        raise ValueError(
+            f"--alpha-sq needs its numerator and denominator at most 10^{MAX_ALPHA_SQ_DIGITS}"
+        )
+    return value
+
+
 def _cmd_square_z(args) -> tuple[dict, list[str], list[str]]:
     from . import hilbert_square as hs
+    if args.alpha_sq is not None:
+        _alpha_sq(args.alpha_sq)
     poly = hs.z_pairing()
     top = largest_real_root(poly)
     fields = {"polynomial": poly.to_json(), "largest_root": top.to_json(args.digits), "at": None}
@@ -243,7 +290,7 @@ def _cmd_square_kahler(args) -> tuple[dict, list[str], list[str]]:
     from . import hilbert_square as hs
     labels = ("omega^4", "omega^3*E", "omega^2*sbar", "omega*l")
     polys = hs.kahler_criterion()
-    values, positive = hs.kahler_criterion(args.alpha_sq)
+    values, positive = hs.kahler_criterion(_alpha_sq(args.alpha_sq))
     fields = {
         "a": format_rational(args.alpha_sq),
         "polynomials": {label: poly.to_json() for label, poly in zip(labels, polys)},

@@ -49,7 +49,11 @@ def parse_rational(text: str) -> Fraction:
 def parse_integer(value, what: str) -> int:
     """An integer from a JSON number or string; a fraction, an infinity or a
     boolean is refused rather than truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if (
+        isinstance(value, bool)
+        or isinstance(value, float) and not value.is_integer()
+        or isinstance(value, Fraction) and value.denominator != 1
+    ):
         raise ValueError(f"{what} must be an integer, not {value!r}")
     try:
         return int(value)

@@ -12,7 +12,6 @@ from hktwist.algebraic import (
     AlgebraicReal,
     _Bisection,
     _shares_root,
-    _split,
     cauchy_bound,
     count_roots,
     isolate_real_roots,
@@ -201,16 +200,10 @@ def test_isolation_matches_sympy(planted, cofactor_low, cofactor_lead):
 
 
 def _isolate_via_squarefree_part(poly):
-    """Reference isolation: divide by UniPoly.gcd(p, p') first, then build
-    the Sturm chain of that square-free part."""
-    reduced = poly.squarefree_part().primitive()
-    if reduced.degree < 1:
-        return []
-    chain = sturm_chain(reduced)
-    bound = cauchy_bound(reduced)
-    roots = []
-    _split(reduced, chain, -bound, bound, count_roots(chain, -bound, bound), roots)
-    return roots
+    """Reference isolation: divide by UniPoly.gcd(p, p') first, then split
+    the Sturm chain of that square-free part with the Fraction reference
+    (``_ref_isolate`` below)."""
+    return _ref_isolate(poly)[0]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -244,8 +237,9 @@ def test_one_remainder_sequence_matches_squarefree_part(planted, quadratics, low
 # did before it stepped the integer kernel: while lo is a root (the neighbour
 # isolated to the left), halve on Fraction endpoints and keep the half whose
 # Sturm count is 1; then snap a rational root by halving a copy of the
-# interval below width 1/L.  It is driven by a copy of the ``_split``
-# recursion and reports how many walk steps it took.
+# interval below width 1/L.  It is driven by a recursion over the same
+# splitting tree, left half first, and reports how many walk steps it took
+# and the tree's nodes that hold more than one root.
 
 
 def _ref_snap_rational(poly, lo, hi):
@@ -278,25 +272,36 @@ def _ref_certify_single(poly, chain, lo, hi, walks):
     return AlgebraicReal(poly, lo, hi)
 
 
-def _ref_split(poly, chain, lo, hi, count, out, walks):
+def _ref_split(poly, chain, lo, hi, count, out, walks, nodes):
     if count == 0:
         return
     if count == 1:
         out.append(_ref_certify_single(poly, chain, lo, hi, walks))
         return
+    nodes.append((lo, hi, count))
     mid = (lo + hi) / 2
     left = count_roots(chain, lo, mid)
-    _ref_split(poly, chain, lo, mid, left, out, walks)
-    _ref_split(poly, chain, mid, hi, count - left, out, walks)
+    _ref_split(poly, chain, lo, mid, left, out, walks, nodes)
+    _ref_split(poly, chain, mid, hi, count - left, out, walks, nodes)
+
+
+def _ref_isolate(poly):
+    """The reference on the square-free part from UniPoly.gcd(p, p'): the
+    roots ascending, its walk steps, and the splitting tree's nodes
+    (lo, hi, count) with count > 1."""
+    reduced = poly.squarefree_part().primitive()
+    roots, walks, nodes = [], [], []
+    if reduced.degree >= 1:
+        chain = sturm_chain(reduced)
+        bound = cauchy_bound(reduced)
+        total = count_roots(chain, -bound, bound)
+        _ref_split(reduced, chain, -bound, bound, total, roots, walks, nodes)
+    return roots, walks, nodes
 
 
 def _certified_like_fraction_walk(poly):
     """The new isolation equals the Fraction-walk reference; returns its walk steps."""
-    reduced = poly.squarefree_part().primitive()
-    chain = sturm_chain(reduced)
-    bound = cauchy_bound(reduced)
-    roots, walks = [], []
-    _ref_split(reduced, chain, -bound, bound, count_roots(chain, -bound, bound), roots, walks)
+    roots, walks, _ = _ref_isolate(poly)
     got = [(r.poly, r.lo, r.hi) for r in isolate_real_roots(poly)]
     assert got == [(r.poly, r.lo, r.hi) for r in roots]
     return len(walks)
@@ -304,19 +309,17 @@ def _certified_like_fraction_walk(poly):
 
 T = UniPoly.variable()
 
+_WALK_POLYS = [
+    T * (T * T - 2),  # 0 is a split midpoint: sqrt(2)'s interval starts on it
+    (T - 1) * T * (T + 1),  # the walk lands on the rational root 1
+    T * (3 * T - 1),  # the walk lands on 1/3
+    T * (7 * T - 2) * (T * T - 3),  # the walk ends, then 2/7 is snapped
+    (T * T - 2) * (T * T - 8) * T,
+    (T + 1) * T * (2 * T - 3),
+]
 
-@pytest.mark.parametrize(
-    "poly",
-    [
-        T * (T * T - 2),  # 0 is a split midpoint: sqrt(2)'s interval starts on it
-        (T - 1) * T * (T + 1),  # the walk lands on the rational root 1
-        T * (3 * T - 1),  # the walk lands on 1/3
-        T * (7 * T - 2) * (T * T - 3),  # the walk ends, then 2/7 is snapped
-        (T * T - 2) * (T * T - 8) * T,
-        (T + 1) * T * (2 * T - 3),
-    ],
-    ids=str,
-)
+
+@pytest.mark.parametrize("poly", _WALK_POLYS, ids=str)
 def test_certification_walk_matches_fraction_walk(poly):
     assert _certified_like_fraction_walk(poly) > 0
 
@@ -626,18 +629,25 @@ def test_gamma_polynomial_with_a_tiny_q_isolates():
 # -- the right-first walk against isolating every root ------------------------
 
 
-def _largest_root_corpus():
+def _threshold_corpus(rng):
+    """The presets' threshold polynomials, each with gamma_p's p(q*s^2) at 12
+    seeded q."""
     from hktwist.family import preset
     from hktwist.threshold import build_threshold_poly
 
-    rng = random.Random(16)
     polys = []
     for name in ("K3", "K3_2", "K3_3"):
         poly = build_threshold_poly(preset(name))
         polys.append(poly)
-        for _ in range(12):  # gamma_p's p(q*s^2)
+        for _ in range(12):
             q = Fraction(rng.randint(1, 400), rng.randint(1, 12))
             polys.append(poly.compose(UniPoly((0, 0, q))))
+    return polys
+
+
+def _largest_root_corpus():
+    rng = random.Random(16)
+    polys = _threshold_corpus(rng)
     for degree in range(1, 21):  # seeded integer polynomials, up to degree 20
         for _ in range(2):
             coeffs = [rng.randint(-30, 30) for _ in range(degree)]
@@ -656,17 +666,44 @@ def _largest_root_corpus():
 
 
 def test_largest_real_root_walk_matches_isolating_every_root():
-    """The walk certifies the very cell that ``_split`` certifies for the
-    rightmost root: same polynomial, same interval."""
+    """The walk certifies the very cell that the Fraction reference, which
+    isolates every root, certifies for the rightmost root: same polynomial,
+    same interval."""
     checked = 0
     for poly in _largest_root_corpus():
-        roots = isolate_real_roots(poly)
+        roots = _ref_isolate(poly)[0]
         if not roots:
             continue
         top = largest_real_root(poly)
         assert (top.poly, top.lo, top.hi) == (roots[-1].poly, roots[-1].lo, roots[-1].hi), poly
         checked += 1
     assert checked >= 100
+
+
+def test_isolation_counts_once_per_reference_tree_node(monkeypatch):
+    """One Sturm count on (-B, B] plus one per reference tree node holding
+    more than one root: all of them to isolate every root, and to reach the
+    greatest only those on its right-first path, the nodes whose interval
+    (lo, hi] holds it."""
+    import hktwist.algebraic as algebraic
+
+    calls = []
+    count_roots_traced = algebraic.count_roots
+    monkeypatch.setattr(
+        algebraic, "count_roots", lambda *args: calls.append(args) or count_roots_traced(*args)
+    )
+    path_nodes = 0
+    for poly in _WALK_POLYS + _threshold_corpus(random.Random(16)):
+        roots, _, nodes = _ref_isolate(poly)
+        calls.clear()
+        isolate_real_roots(poly)
+        assert len(calls) == len(nodes) + 1, poly
+        path = [node for node in nodes if node[0] < roots[-1] <= node[1]]
+        calls.clear()
+        largest_real_root(poly)
+        assert len(calls) == len(path) + 1, poly
+        path_nodes += len(path)
+    assert path_nodes > 0
 
 
 def test_largest_real_root_without_a_real_root_raises():

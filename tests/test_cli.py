@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hktwist.cli import MAX_DISPLAY_DIGITS, main
+from hktwist.cli import MAX_ALPHA_SQ_DIGITS, MAX_DISPLAY_DIGITS, load_family, main
 from hktwist.exact import parse_rational
 from hktwist.family import _monomials
 from hktwist.threshold import MAX_POLY_BITS
@@ -244,7 +244,8 @@ def k3_document(**changes):
 # (file text, what the one-line error must say)
 MALFORMED_FAMILY_FILES = [
     (json.dumps(k3_document(monomial=[])), "monomial must be a JSON object"),
-    ('{"name": "x", "n": 1e400, "pairings": []}', "n must be an integer, not inf"),
+    # n = 10^400 exactly, refused for its empty table
+    ('{"name": "x", "n": 1e400, "pairings": []}', "omega^(2n) pairing must be present"),
     (json.dumps(k3_document(n=1.9)), "n must be an integer, not 1.9"),
     (json.dumps(k3_document(omega_power=0.5)), "omega power of c2 must be an integer"),
     (json.dumps(k3_document(monomial={"2": 1.7})), "exponent of c2 must be an integer"),
@@ -336,6 +337,8 @@ HOSTILE_ARGUMENTS = [
      "too large"),
     (("threshold", "--family", "@FILE", "--digits", str(MAX_DISPLAY_DIGITS), "--json"),
      _small_root_document(), 0, f'"decimal": "1.{"0" * (MAX_DISPLAY_DIGITS - 1)}E-{_E}"'),
+    (("square", "z-pairing", "--alpha-sq", "1e2200"), None, 1, "at most 10^2000"),
+    (("square", "kahler", "--alpha-sq", "1e3000"), None, 1, "at most 10^2000"),
 ]
 
 
@@ -514,6 +517,41 @@ def test_fuzzed_arguments_end_quickly_and_cleanly(tmp_path, capsys, monkeypatch)
             assert "expected one argument" not in err or _lacks_a_value(argv), context
     finally:
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("command", ["z-pairing", "kahler"])
+def test_alpha_sq_bound_on_both_sides(capsys, command):
+    """--alpha-sq is refused exactly when its numerator or denominator passes
+    10^MAX_ALPHA_SQ_DIGITS; every accepted value prints."""
+    bound = 10**MAX_ALPHA_SQ_DIGITS
+    for value, code in ((bound, 0), (-bound, 0), (Fraction(bound - 1, bound), 0),
+                        (Fraction(-bound, bound - 1), 0), (bound + 1, 1), (-bound - 1, 1),
+                        (Fraction(1, bound + 1), 1), (Fraction(bound, bound + 1), 1)):
+        got, out, err = run(capsys, "square", command, f"--alpha-sq={value}", "--json")
+        assert got == code, err
+        if code:
+            assert err.count("\n") == 1 and f"at most 10^{MAX_ALPHA_SQ_DIGITS}" in err
+        else:
+            assert json.loads(out)["a" if command == "kahler" else "at"] is not None
+
+
+def test_family_file_numbers_are_read_exactly(tmp_path, capsys):
+    """A JSON number is read from its text, never through a binary float."""
+    from hktwist.series import ChernMonomial
+
+    family = tmp_path / "family.json"
+    c2 = ChernMonomial({2: 1})
+    for text, exact in (("12345678901234567890.5", Fraction(24691357802469135781, 2)),
+                        ("1e-400", Fraction(1, 10**400)), ("1e400", Fraction(10**400))):
+        family.write_text(json.dumps(k3_document()).replace('"24"', text))
+        assert load_family(f"@{family}").pairings[c2] == exact
+    family.write_text(json.dumps(k3_document()).replace('"24"', "1e-400"))
+    code, out, _ = run(capsys, "poly", "--family", f"@{family}")
+    assert code == 0 and f"p(t) = 3t - 1/{10**400}" in out
+    family.write_text(json.dumps(k3_document()).replace('"24"', "9" * 5000))
+    code, out, err = run(capsys, "poly", "--family", f"@{family}")
+    assert code == 1 and out == "" and err.count("\n") == 1, err
+    assert str(family) in err and "Exceeds the limit" not in err, err
 
 
 def test_family_file_errors(tmp_path, capsys):
