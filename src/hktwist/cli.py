@@ -141,6 +141,8 @@ def load_family(selector: str) -> HKFamily:
             return HKFamily.from_json(data)
         except KeyError as exc:
             raise ValueError(f"family file {path!r} is missing field {exc}")
+        except ValueError as exc:
+            raise ValueError(f"family file {path!r}: {exc}")
     return preset(selector)
 
 

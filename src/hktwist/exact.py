@@ -15,6 +15,8 @@ decimal back into a computation.
 from __future__ import annotations
 
 import decimal
+import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -27,11 +29,26 @@ DEFAULT_SIG_DIGITS = 6
 MAX_DIGITS = 4000
 
 
+# A numerator, denominator, mantissa or exponent: digits, perhaps grouped by "_".
+# The interpreter's limit on reading one into an int is never below
+# str_digits_check_threshold, so shorter text needs no look.
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
+_UNCHECKED_LENGTH = sys.int_info.str_digits_check_threshold
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", "p" or a decimal such as "1.5e-3" (ASCII or U+2212 minus)
-    into a Fraction.  A decimal exponent e costs time growing with |e|, so
-    text needing over ``MAX_DIGITS`` digits (length plus |e|) is refused first."""
+    into a Fraction.  A run of digits past the interpreter's limit on reading
+    an int could not be read, so it is refused first, by its length.  A
+    decimal exponent e costs time growing with |e|, so text needing over
+    ``MAX_DIGITS`` digits (length plus |e|) is refused next."""
     cleaned = text.strip().replace("−", "-")
+    if len(cleaned) > _UNCHECKED_LENGTH and (limit := sys.get_int_max_str_digits()):
+        longest = max(len(run.replace("_", "")) for run in _DIGIT_RUN.findall(cleaned) or [""])
+        if longest > limit:
+            raise ValueError(
+                f"a number with a run of {longest} digits, over the interpreter's limit of {limit}"
+            )
     if "e" in cleaned or "E" in cleaned:
         mantissa, _, exponent = cleaned.replace("E", "e").partition("e")
         try:
@@ -54,11 +71,42 @@ def parse_integer(value, what: str) -> int:
         or isinstance(value, float) and not value.is_integer()
         or isinstance(value, Fraction) and value.denominator != 1
     ):
-        raise ValueError(f"{what} must be an integer, not {value!r}")
+        raise ValueError(f"{what} must be an integer, not {_shown(value)}")
     try:
         return int(value)
     except (TypeError, ValueError):
-        raise ValueError(f"{what} must be an integer, not {value!r}") from None
+        raise ValueError(f"{what} must be an integer, not {_shown(value)}") from None
+
+
+def parse_json_rational(value, what: str) -> Fraction:
+    """A rational from a JSON number or string; any other kind is refused by name."""
+    try:
+        return parse_rational(str(value))
+    except ValueError:
+        kind = json_kind(value)
+        if kind in ("number", "string"):
+            raise
+        raise ValueError(f"{what} must be a JSON number or string, not {kind}") from None
+
+
+def json_kind(value) -> str:
+    """The JSON name of a decoded value's kind: object, array, string,
+    number, true, false or null."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, dict):
+        return "object"
+    if isinstance(value, list):
+        return "array"
+    return "string" if isinstance(value, str) else "number"
+
+
+def _shown(value) -> str:
+    """A number or string as written, any other JSON value by its kind."""
+    kind = json_kind(value)
+    return repr(value) if kind in ("number", "string") else kind
 
 
 def format_rational(value: RationalLike) -> str:
@@ -330,7 +378,7 @@ class UniPoly:
 
     @classmethod
     def from_json(cls, data: Sequence[str]) -> "UniPoly":
-        return cls(parse_rational(str(c)) for c in data)
+        return cls(parse_json_rational(c, "a coefficient") for c in data)
 
 
 def _as_poly(value) -> UniPoly | None:

@@ -8,7 +8,9 @@ rational constant d with
     integral  m . omega^(2n - w)  =  d * q^((2n - w)/2).
 
 A table must hold every monomial of weight <= 2n (those of weight w are
-the partitions of w/2) and is checked for that when it is built.
+the partitions of w/2).  It is checked for that when it is built, weight
+by weight: each weight must have as many entries as ``_monomials`` lists,
+and the first that falls short names its least absent monomial.
 Everything downstream (Segre pairings, threshold polynomials) is then a
 finite exact computation from the table: the Segre class is the inverse
 1/c of the total Chern class, and its coefficients are known in closed
@@ -20,11 +22,12 @@ Hilbert schemes of 2 and 3 points on a K3.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .exact import format_rational, parse_integer, parse_rational
+from .exact import format_rational, json_kind, parse_integer, parse_json_rational
 from .series import ChernMonomial, UNIT
 
 PRESET_NAMES = ("K3", "K3_2", "K3_3")
@@ -37,25 +40,26 @@ class HKFamily:
         if n < 1:
             raise ValueError("n must be at least 1")
         table = {}
+        counts: dict[int, int] = {}
         for monomial, constant in dict(pairings).items():
-            if monomial.weight > 2 * n:
-                raise ValueError(
-                    f"{monomial} has weight {monomial.weight}, above the dimension {2 * n}"
-                )
+            weight = monomial.weight
+            if weight > 2 * n:
+                raise ValueError(f"{monomial} has weight {weight}, above the dimension {2 * n}")
             table[monomial] = Fraction(constant)
+            counts[weight] = counts.get(weight, 0) + 1
         if UNIT not in table or table[UNIT] == 0:
             raise ValueError("the omega^(2n) pairing must be present and nonzero")
-        # The entries are distinct monomials of weight <= 2n, so the table is
-        # complete exactly when it has as many as there are such monomials.
-        # Counting stops once that number passes the table size, so a huge n
-        # costs no more than a small one.
-        remaining = len(table)
-        for _, count in zip(range(n + 1), _partition_counts()):
-            remaining -= count
-            if remaining < 0:
-                raise ValueError(
-                    f"family {name!r} has no pairing for {_first_missing(table)}"
+        # The entries are distinct monomials, so a weight is complete exactly
+        # when it has as many entries as there are monomials of that weight.
+        # The first short weight, with every lighter one complete, holds the
+        # first missing monomial.  It comes at most one weight past the
+        # heaviest entry, so a huge n costs no more than a small one.
+        for weight in range(0, 2 * n + 1, 2):
+            if counts.get(weight, 0) < _monomial_count(weight):
+                missing = min(
+                    m for m in map(ChernMonomial, _monomials(weight, weight)) if m not in table
                 )
+                raise ValueError(f"family {name!r} has no pairing for {missing}")
         self.name = name
         self.n = n
         # read-only, so that nothing cached from the table can go stale
@@ -115,15 +119,15 @@ class HKFamily:
         """Read a table; a missing field raises KeyError, anything else
         malformed ValueError."""
         if not isinstance(data, dict):
-            raise ValueError(f"a family must be a JSON object, not {type(data).__name__}")
+            raise ValueError(f"a family must be a JSON object, not {json_kind(data)}")
         name = str(data["name"])
         n = parse_integer(data["n"], "n")
         if not isinstance(data["pairings"], list):
-            raise ValueError("pairings must be a JSON list")
+            raise ValueError(f"pairings must be a JSON array, not {json_kind(data['pairings'])}")
         pairings: dict[ChernMonomial, Fraction] = {}
         for entry in data["pairings"]:
             if not isinstance(entry, dict):
-                raise ValueError(f"each pairing must be a JSON object, not {entry!r}")
+                raise ValueError(f"each pairing must be a JSON object, not {json_kind(entry)}")
             monomial = ChernMonomial.from_json(entry["monomial"])
             if monomial in pairings:
                 raise ValueError(f"duplicate pairing for {monomial}")
@@ -134,28 +138,8 @@ class HKFamily:
                     f"{monomial} must pair against omega^{expected_power}, "
                     f"table says {declared}"
                 )
-            pairings[monomial] = parse_rational(str(entry["constant"]))
+            pairings[monomial] = parse_json_rational(entry["constant"], "a constant")
         return cls(name, n, pairings)
-
-
-def _partition_counts() -> Iterator[int]:
-    """p(0), p(1), ...: the number of monomials of weight 0, 2, 4, ...
-
-    A monomial of weight 2k in c2, c4, ... is a partition of k.  Euler's
-    pentagonal number recurrence gives each p(k) from the earlier ones.
-    """
-    counts = [1]
-    while True:
-        yield counts[-1]
-        k = len(counts)
-        total, j = 0, 1
-        while (pentagonal := j * (3 * j - 1) // 2) <= k:
-            sign = 1 if j % 2 else -1
-            total += sign * counts[k - pentagonal]
-            if pentagonal + j <= k:
-                total += sign * counts[k - pentagonal - j]
-            j += 1
-        counts.append(total)
 
 
 def _monomials(weight: int, largest: int) -> Iterator[dict[int, int]]:
@@ -168,17 +152,10 @@ def _monomials(weight: int, largest: int) -> Iterator[dict[int, int]]:
             yield {**rest, index: rest.get(index, 0) + 1}
 
 
-def _first_missing(table: Mapping[ChernMonomial, Fraction]) -> ChernMonomial:
-    """The first monomial, by weight and then as a tuple, absent from an
-    incomplete table."""
-    weight = 0
-    while True:
-        absent = [
-            m for m in map(ChernMonomial, _monomials(weight, weight)) if m not in table
-        ]
-        if absent:
-            return min(absent)
-        weight += 2
+@cache
+def _monomial_count(weight: int) -> int:
+    """How many monomials of one weight there are: p(weight/2), as ``_monomials`` lists them."""
+    return sum(1 for _ in _monomials(weight, weight))
 
 
 def _verify_cube_table(family: HKFamily) -> HKFamily:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Callable, Iterable, Mapping
 
-from .exact import format_rational, parse_integer, parse_rational
+from .exact import format_rational, json_kind, parse_integer, parse_json_rational
 
 
 class ChernMonomial(tuple):
@@ -77,7 +77,7 @@ class ChernMonomial(tuple):
     @classmethod
     def from_json(cls, data: Mapping[str, int]) -> "ChernMonomial":
         if not isinstance(data, dict):
-            raise ValueError(f"a monomial must be a JSON object, not {data!r}")
+            raise ValueError(f"a monomial must be a JSON object, not {json_kind(data)}")
         return cls({
             parse_integer(index, "a Chern index"):
                 parse_integer(exponent, f"the exponent of c{index}")
@@ -271,6 +271,6 @@ class GradedSeries:
         terms: dict[ChernMonomial, Fraction] = {}
         for entry in data["terms"]:
             monomial = ChernMonomial.from_json(entry["monomial"])
-            coeff = parse_rational(str(entry["coeff"]))
+            coeff = parse_json_rational(entry["coeff"], "a coefficient")
             terms[monomial] = terms.get(monomial, Fraction(0)) + coeff
         return cls(parse_integer(data["truncation"], "truncation"), terms)

@@ -249,9 +249,15 @@ MALFORMED_FAMILY_FILES = [
     (json.dumps(k3_document(n=1.9)), "n must be an integer, not 1.9"),
     (json.dumps(k3_document(omega_power=0.5)), "omega power of c2 must be an integer"),
     (json.dumps(k3_document(monomial={"2": 1.7})), "exponent of c2 must be an integer"),
-    ("[1, 2]", "family must be a JSON object, not list"),
-    (json.dumps(k3_document(pairings={})), "pairings must be a JSON list"),
+    ("[1, 2]", "family must be a JSON object, not array"),
+    ("5", "family must be a JSON object, not number"),
+    ("1.5", "family must be a JSON object, not number"),
+    ('"x"', "family must be a JSON object, not string"),
+    ("null", "family must be a JSON object, not null"),
+    ("true", "family must be a JSON object, not true"),
+    (json.dumps(k3_document(pairings={})), "pairings must be a JSON array"),
     (json.dumps(k3_document(pairings=[1])), "each pairing must be a JSON object"),
+    (json.dumps(k3_document(pairings=[None])), "each pairing must be a JSON object, not null"),
     # only the unit entry: refused at construction, before any Segre work
     (json.dumps(k3_document(n=40, pairings=[
         {"monomial": {}, "omega_power": 80, "constant": "1"},
@@ -333,6 +339,9 @@ HOSTILE_ARGUMENTS = [
     (("threshold", "--family", "@FILE"), _random_document(3, 1000, 1), 1, "too large"),
     (("threshold", "--family", "@FILE"), _random_document(3, 4000, 1), 1, "too large"),
     (("poly", "--family", "@FILE"), _shared_factor_document(), 1, "too large"),
+    (("gamma-p", "--family", "K3", "--q", "9" * 5000), None, 2, "a run of 5000 digits"),
+    (("threshold", "--family", "@FILE"), k3_document(name="long string", constant="9" * 5000),
+     1, "family.json': a number with a run of 5000 digits"),
     (("gamma-p", "--family", "@FILE", "--q", "1e-100"), _random_document(5, 1, 1), 1,
      "too large"),
     (("threshold", "--family", "@FILE", "--digits", str(MAX_DISPLAY_DIGITS), "--json"),

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hktwist.family import HKFamily, _verify_cube_table, preset
+from hktwist.family import HKFamily, _monomials, _verify_cube_table, preset
 from hktwist.series import ChernMonomial, GradedSeries, UNIT
 
 
@@ -81,6 +81,42 @@ def test_incomplete_table_refused_at_construction():
     del pairings[ChernMonomial({4: 1})]
     with pytest.raises(ValueError, match="no pairing for c4"):
         HKFamily("K3_2", 2, pairings)
+
+
+def _complete_table(n):
+    return {
+        ChernMonomial(m): Fraction(1)
+        for weight in range(0, 2 * n + 1, 2) for m in _monomials(weight, weight)
+    }
+
+
+def _refusal(name, n, table):
+    """The message that refusing an incomplete table must give, from a
+    brute-force reference: the absent monomial least by (weight, tuple)."""
+    if UNIT not in table:
+        return "the omega^(2n) pairing must be present and nonzero"
+    absent = [m for m in _complete_table(n) if m not in table]
+    return f"family {name!r} has no pairing for {min(absent, key=lambda m: (m.weight, m))}"
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_refusal_names_the_first_missing_monomial(n):
+    complete = _complete_table(n)
+    rng = random.Random(n)
+    drops = [[m] for m in complete]
+    drops += [rng.sample(sorted(complete), size) for size in (2, 5) for _ in range(30)
+              if size < len(complete)]
+    for dropped in drops:
+        table = {m: c for m, c in complete.items() if m not in dropped}
+        with pytest.raises(ValueError) as refused:
+            HKFamily("dropped", n, table)
+        assert str(refused.value) == _refusal("dropped", n, table), dropped
+
+
+def test_refusal_of_a_huge_n_names_the_first_missing_monomial():
+    with pytest.raises(ValueError) as refused:
+        HKFamily("huge", 10**400, {UNIT: Fraction(1), ChernMonomial({2: 1}): Fraction(24)})
+    assert str(refused.value) == "family 'huge' has no pairing for c2^2"
 
 
 def test_pairing_lookup_error_names_monomial():

@@ -1,12 +1,15 @@
-"""No float enters a computation: a static check of every module in the package.
+"""No float enters a computation, and the package needs only the standard
+library: a static check of every module in the package.
 
 Each source file is parsed with ``ast``.  A float literal, a call to
-``float``, a ``math`` name other than the exact integer functions, or an
+``float``, a ``math`` name other than the exact integer functions, an
 import of ``decimal`` outside ``exact.py`` (whose decimal rendering runs in
-a local exact context) is a fault.
+a local exact context), or an absolute import of a module outside the
+standard library is a fault.  Relative imports stay inside the package.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,6 +51,14 @@ def _faults(source: str, filename: str) -> list[str]:
             or isinstance(node, ast.ImportFrom) and node.module == "decimal"
         ):
             faults.append(f"{where}: decimal imported outside exact.py")
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        faults += [f"{where}: {name} is not in the standard library"
+                   for name in names if name.split(".")[0] not in sys.stdlib_module_names]
     return faults
 
 
@@ -66,6 +77,9 @@ def test_no_float_in_the_package(path):
     "from math import gcd, isqrt",
     "import decimal",
     "from decimal import Decimal",
+    "import sympy",
+    "import os, numpy.linalg",
+    "from mpmath import mpf",
 ])
 def test_each_kind_of_fault_is_caught(source):
     assert len(_faults(source, "series.py")) == 1
@@ -75,3 +89,11 @@ def test_exact_names_pass():
     source = "import math\nfrom math import comb, prod\nx = math.lcm(4, 6) + math.floor(1)\n"
     assert _faults(source, "series.py") == []
     assert _faults("import decimal", "exact.py") == []
+
+
+def test_stdlib_and_relative_imports_pass():
+    source = (
+        "from __future__ import annotations\nimport json, os.path\n"
+        "from fractions import Fraction\nfrom . import notes\nfrom .exact import UniPoly\n"
+    )
+    assert _faults(source, "series.py") == []
