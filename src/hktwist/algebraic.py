@@ -2,7 +2,9 @@
 
 Roots are located with Sturm's theorem: the number of distinct real roots
 of p in (a, b], for a and b not roots of p, is V(a) - V(b), where V(x)
-counts sign changes along the Sturm chain evaluated at x.  Each isolated
+counts sign changes along the Sturm chain evaluated at x.  The chain is
+built from integer pseudo-remainders, each reduced to its primitive part,
+so building it divides no ``Fraction`` (see ``sturm_chain``).  Each isolated
 root becomes an :class:`AlgebraicReal` — a square-free integer polynomial
 plus a rational isolating interval — on which comparison, squaring,
 rescaling and decimal rendering are all exact.  No floating point is
@@ -78,30 +80,64 @@ TAYLOR_LEVEL = 256
 def sturm_chain(poly: UniPoly) -> list[UniPoly]:
     """Sturm chain of any nonconstant polynomial p.
 
-    Its last element is gcd(p, p') up to a positive factor: a constant
-    exactly when p is square-free.  Dividing the chain by that element
-    changes no sign variation at a point where it is nonzero, so the chain
-    counts the distinct roots of p between two points that are not roots.
-    Each remainder is rescaled by a positive rational to keep coefficients
-    small; positive scaling preserves all sign information.
+    Its first two elements are p and p' as given; each later one is a
+    positive multiple of -(a mod b) for the two elements a, b before it, and
+    the chain ends before a zero remainder.  Its last element is gcd(p, p')
+    up to a positive factor: a constant exactly when p is square-free.
+    Dividing the chain by that element changes no sign variation at a point
+    where it is nonzero, so the chain counts the distinct roots of p between
+    two points that are not roots.
+
+    The remainders are integer pseudo-remainders reduced to their
+    primitive parts (Collins, J. ACM 14, 1967; Brown and Traub, J. ACM 18,
+    1971), so no ``Fraction`` is divided: each is the primitive positive
+    multiple of -(a mod b), the element that rational division gives once
+    rescaled; positive scaling keeps every sign.
     """
     chain = [poly, poly.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree >= 1:
-        rem = -(chain[-2] % chain[-1])
-        if not rem.is_zero:
-            rem = _positive_rescale(rem)
-        chain.append(rem)
     if chain[-1].is_zero:
-        chain.pop()
+        return chain[:1]
+    a, b = _cleared(chain[0]), _cleared(chain[1])
+    while len(b) > 1 and (rem := _negated_remainder(a, b)):
+        a, b = b, rem
+        chain.append(UniPoly(b))
     return chain
 
 
-def _positive_rescale(poly: UniPoly) -> UniPoly:
-    sign = -1 if poly.leading < 0 else 1
-    scaled = poly.primitive()
-    if sign < 0:
-        scaled = -scaled
-    return scaled
+def _cleared(poly: UniPoly) -> list[int]:
+    """The coefficients of ``poly`` times the lcm of their denominators."""
+    clear = math.lcm(*(c.denominator for c in poly.coeffs))
+    return [c.numerator * (clear // c.denominator) for c in poly.coeffs]
+
+
+def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The primitive positive multiple of -(a mod b), for integer coefficients
+    (lowest degree first) with deg a >= deg b >= 1; empty if b divides a.
+
+    Each of the delta + 1 steps, delta = deg a - deg b, multiplies the
+    remainder by lc(b) and takes off the multiple of b that clears its top
+    coefficient.  That leaves the pseudo-remainder lc(b)^(delta+1) * a mod b,
+    exact in integers, which times -sign(lc(b))^(delta+1) is a positive
+    multiple of -(a mod b); dividing by the content keeps it one.
+    """
+    lead = b[-1]
+    low = b[:-1]
+    rem = a[:]
+    steps = len(a) - len(b) + 1
+    for shift in range(steps - 1, -1, -1):
+        top = rem.pop()
+        rem = [lead * c for c in rem]
+        if top:
+            for i, c in enumerate(low, shift):
+                rem[i] -= top * c
+    while rem and not rem[-1]:
+        rem.pop()
+    if not rem:
+        return rem
+    content = math.gcd(*rem)
+    if lead > 0 or not steps & 1:  # -sign(lc(b))^(delta+1) is -1
+        content = -content
+    return [c // content for c in rem]
 
 
 def _sign_variations(values: Iterable[Fraction]) -> int:
@@ -452,8 +488,7 @@ class _Bisection:
         self.a = lo.numerator * (self.s // lo.denominator)
         self.b = hi.numerator * (self.s // hi.denominator)
         self.k = 0
-        clear = math.lcm(*(c.denominator for c in poly.coeffs))
-        self.terms = [int(c * clear) * self.s**j for j, c in enumerate(reversed(poly.coeffs))]
+        self.terms = [c * self.s**j for j, c in enumerate(reversed(_cleared(poly)))]
         self.taylor: list[int] | None = None
         self.plan: tuple[list[tuple[int, int]], list[int]] | None = None
         self.lo_sign = -self._sign_at(self.b)

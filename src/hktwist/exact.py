@@ -34,6 +34,8 @@ MAX_DIGITS = 4000
 # str_digits_check_threshold, so shorter text needs no look.
 _DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
 _UNCHECKED_LENGTH = sys.int_info.str_digits_check_threshold
+# How much of a longer malformed text an error shows.
+_SHOWN_PREFIX = 40
 
 
 def parse_rational(text: str) -> Fraction:
@@ -41,7 +43,9 @@ def parse_rational(text: str) -> Fraction:
     into a Fraction.  A run of digits past the interpreter's limit on reading
     an int could not be read, so it is refused first, by its length.  A
     decimal exponent e costs time growing with |e|, so text needing over
-    ``MAX_DIGITS`` digits (length plus |e|) is refused next."""
+    ``MAX_DIGITS`` digits (length plus |e|) is refused next.  An error
+    shows a text of over ``_UNCHECKED_LENGTH`` characters by its prefix and
+    its length."""
     cleaned = text.strip().replace("−", "-")
     if len(cleaned) > _UNCHECKED_LENGTH and (limit := sys.get_int_max_str_digits()):
         longest = max(len(run.replace("_", "")) for run in _DIGIT_RUN.findall(cleaned) or [""])
@@ -56,11 +60,20 @@ def parse_rational(text: str) -> Fraction:
         except ValueError:  # no integer exponent: Fraction judges the text
             digits = 0
         if digits > MAX_DIGITS:
-            raise ValueError(f"exponent out of range in {text!r}: over {MAX_DIGITS} digits")
+            raise ValueError(f"exponent out of range in {_quoted(text)}: over {MAX_DIGITS} digits")
     try:
         return Fraction(cleaned)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+        raise ValueError(f"not a rational number: {_quoted(text)}") from exc
+
+
+def _quoted(text: str) -> str:
+    """``text`` as repr shows it, or past ``_UNCHECKED_LENGTH`` characters
+    a prefix of ``_SHOWN_PREFIX`` and the text's length, so that an error
+    line stays short."""
+    if len(text) <= _UNCHECKED_LENGTH:
+        return repr(text)
+    return f"{text[:_SHOWN_PREFIX]!r}... ({len(text)} characters)"
 
 
 def parse_integer(value, what: str) -> int:

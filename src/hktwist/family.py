@@ -120,7 +120,12 @@ class HKFamily:
         malformed ValueError."""
         if not isinstance(data, dict):
             raise ValueError(f"a family must be a JSON object, not {json_kind(data)}")
-        name = str(data["name"])
+        name = data["name"]
+        if json_kind(name) not in ("string", "number"):
+            raise ValueError(
+                f"a family name must be a JSON string or number, not {json_kind(name)}"
+            )
+        name = str(name)
         n = parse_integer(data["n"], "n")
         if not isinstance(data["pairings"], list):
             raise ValueError(f"pairings must be a JSON array, not {json_kind(data['pairings'])}")

@@ -121,8 +121,10 @@ def gamma_p(family: HKFamily, qval: Fraction) -> AlgebraicReal:
 
     Computed without forming a quotient: the substitution t -> qval * s^2
     turns the threshold polynomial in t into one in s whose largest real
-    root is exactly sqrt(C/qval).  Only that root is isolated and certified,
-    by the right-first walk of ``largest_real_root``.  When every real root
+    root is exactly sqrt(C/qval).  It is built coefficient by coefficient,
+    c_i * qval^i at s^(2i) and 0 at odd powers, with no polynomial product.
+    Only that root is isolated and certified, by the right-first walk of
+    ``largest_real_root``.  When every real root
     of p is < 0 (or p has none) the substituted polynomial has no real root
     and the threshold is 0.  A q past ``MAX_Q_DIGITS``, or one that
     makes the substituted polynomial pass ``MAX_POLY_BITS``, is refused.
@@ -132,8 +134,12 @@ def gamma_p(family: HKFamily, qval: Fraction) -> AlgebraicReal:
         raise ValueError("gamma_p needs a positive q value")
     if max(qval.numerator, qval.denominator) > 10**MAX_Q_DIGITS:
         raise ValueError(f"gamma_p needs q's numerator and denominator at most 10^{MAX_Q_DIGITS}")
-    poly = build_threshold_poly(family)
-    substituted = _bounded(poly.compose(UniPoly((0, 0, qval))), "gamma_p's polynomial at this q")
+    coeffs = []
+    power = Fraction(1)
+    for c in build_threshold_poly(family).coeffs:
+        coeffs += (c * power, 0)
+        power *= qval
+    substituted = _bounded(UniPoly(coeffs), "gamma_p's polynomial at this q")
     root = _largest_real_root(substituted)
     # p(q*s^2) is even in s, so a largest real root is never negative.
     return AlgebraicReal.from_rational(0) if root is None else root

@@ -34,6 +34,59 @@ def test_sturm_counts_halfopen():
     assert count_roots(chain_q, Fraction(1), Fraction(2)) == 0
 
 
+def _ref_sturm_chain(poly):
+    """The chain as rational long division builds it: -(a % b), rescaled to
+    its primitive multiple of the same sign."""
+    chain = [poly, poly.derivative()]
+    while not chain[-1].is_zero and chain[-1].degree >= 1:
+        rem = -(chain[-2] % chain[-1])
+        if not rem.is_zero:
+            rem = rem.primitive() if rem.leading > 0 else -rem.primitive()
+        chain.append(rem)
+    if chain[-1].is_zero:
+        chain.pop()
+    return chain
+
+
+def _sturm_corpus():
+    """Seeded polynomials of degree 1-20 with Fraction coefficients, some with
+    a squared factor, sparse ones (whose remainders skip degrees, some under
+    a negative leading coefficient), monic gcds of two polynomials sharing a
+    factor (what ``_shares_root`` passes), and constants."""
+    rng = random.Random(26)
+
+    def fraction_poly(degree):
+        coeffs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(degree)]
+        return UniPoly(coeffs + [Fraction(rng.choice([-5, -2, -1, 1, 3, 7]), rng.randint(1, 6))])
+
+    polys = []
+    for degree in range(1, 21):
+        polys.append(fraction_poly(degree))
+        factor = fraction_poly(rng.randint(1, 3))
+        polys.append(fraction_poly(rng.randint(0, 4)) * factor * factor)
+        sparse = [rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(degree)]
+        polys.append(UniPoly(sparse + [rng.choice([-2, -1, 1, 3])]))
+        shared = fraction_poly(rng.randint(1, 4))
+        common = (shared * fraction_poly(2)).gcd(shared * shared * fraction_poly(3))
+        assert common.leading == 1 and common.degree >= 1
+        polys.append(common)
+    polys += [UniPoly((Fraction(-7, 3),)), UniPoly((5,))]
+    return polys
+
+
+def test_sturm_chain_matches_rational_remainders():
+    """Integer pseudo-remainders give the very chain that rational long
+    division gives, element by element, p and p' included as given."""
+    gaps = 0
+    for poly in _sturm_corpus():
+        chain = sturm_chain(poly)
+        assert chain == _ref_sturm_chain(poly), poly
+        assert chain[0] is poly
+        gaps += any(a.degree - b.degree > 1 for a, b in zip(chain[1:], chain[2:]))
+    assert sturm_chain(UniPoly((4,))) == [UniPoly((4,))]
+    assert gaps > 0
+
+
 def test_simplest_between():
     assert simplest_between(Fraction(2), Fraction(5, 2)) == Fraction(7, 3)
     assert simplest_between(Fraction(0), Fraction(1, 2)) == Fraction(1, 3)

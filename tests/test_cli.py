@@ -255,6 +255,10 @@ MALFORMED_FAMILY_FILES = [
     ('"x"', "family must be a JSON object, not string"),
     ("null", "family must be a JSON object, not null"),
     ("true", "family must be a JSON object, not true"),
+    (json.dumps(k3_document(name=None)), "family name must be a JSON string or number, not null"),
+    (json.dumps(k3_document(name=[1, True])), "name must be a JSON string or number, not array"),
+    (json.dumps(k3_document(name={})), "name must be a JSON string or number, not object"),
+    (json.dumps(k3_document(name=True)), "name must be a JSON string or number, not true"),
     (json.dumps(k3_document(pairings={})), "pairings must be a JSON array"),
     (json.dumps(k3_document(pairings=[1])), "each pairing must be a JSON object"),
     (json.dumps(k3_document(pairings=[None])), "each pairing must be a JSON object, not null"),
@@ -340,6 +344,13 @@ HOSTILE_ARGUMENTS = [
     (("threshold", "--family", "@FILE"), _random_document(3, 4000, 1), 1, "too large"),
     (("poly", "--family", "@FILE"), _shared_factor_document(), 1, "too large"),
     (("gamma-p", "--family", "K3", "--q", "9" * 5000), None, 2, "a run of 5000 digits"),
+    # malformed long text is shown by a prefix and its length
+    (("gamma-p", "--family", "K3", "--q", "1_" * 2200), None, 2,
+     f"not a rational number: {'1_' * 20!r}... (4400 characters)"),
+    (("gamma-p", "--family", "K3", "--q", "1" * 4300 + "e1"), None, 2,
+     f"exponent out of range in {'1' * 40!r}... (4302 characters): over 4000 digits"),
+    (("gamma-p", "--family", "K3", "--q", "x" * 5000), None, 2,
+     f"not a rational number: {'x' * 40!r}... (5000 characters)"),
     (("threshold", "--family", "@FILE"), k3_document(name="long string", constant="9" * 5000),
      1, "family.json': a number with a run of 5000 digits"),
     (("gamma-p", "--family", "@FILE", "--q", "1e-100"), _random_document(5, 1, 1), 1,
@@ -373,6 +384,7 @@ def test_hostile_arguments_end_quickly_and_cleanly(tmp_path, argv, document, cod
         lines = lines[1:]  # a usage error prints argparse's usage line first
     assert result.returncode == code, result.stderr
     assert "Traceback" not in result.stderr and len(lines) <= 1, result.stderr
+    assert all(len(line) < 400 for line in lines), result.stderr[:400]
     assert "Exceeds the limit" not in result.stderr, result.stderr
     assert message in (result.stdout if code == 0 else result.stderr)
 

@@ -156,6 +156,17 @@ def test_from_json_rejects_duplicates():
         HKFamily.from_json(data)
 
 
+def test_from_json_reads_a_string_or_number_name():
+    data = preset("K3").to_json()
+    for name, shown in (("K3 copy", "K3 copy"), (7, "7"), (1.5, "1.5")):
+        data["name"] = name
+        assert HKFamily.from_json(data).name == shown
+    for name, kind in ((None, "null"), ([1, True], "array"), ({}, "object"), (True, "true")):
+        data["name"] = name
+        with pytest.raises(ValueError, match=f"name must be a JSON string or number, not {kind}$"):
+            HKFamily.from_json(data)
+
+
 def test_cube_preset_passes_startup_self_check():
     fam = preset("K3_3")
     assert fam.pair(ChernMonomial({2: 3})) == 36800

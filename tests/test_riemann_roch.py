@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from hktwist.family import preset
 from hktwist.riemann_roch import (
@@ -135,3 +135,32 @@ def test_derivation_trace_mentions_key_steps():
     assert "7/4*A - B = 810" in text
     assert "lambda coefficient = 1/3" in text
     assert "top = 15, c2 = 108, c2^2 = 1848, c4 = 2424" in text
+
+
+def _sqrt_todd_rows(family):
+    """The rows of integral sqrt(Td) * e^L on ``family``, q^0 first: the q^k row
+    pairs sqrt(Td)'s weight-(2n - 2k) part with L^(2k), weighted 1/(2k)!."""
+    root, n = sqrt_todd6(), family.n
+    return [
+        sum(
+            (c * family.pair(m) for m, c in root.component(2 * n - 2 * k).items()),
+            Fraction(0),
+        ) / factorial(2 * k)
+        for k in range(n + 1)
+    ]
+
+
+def test_sqrt_todd_identity_holds_row_by_row_with_factorial_weights():
+    """integral sqrt(Td) * e^L = integral sqrt(Td) * (1 + 2q/(n + 3))^n, row by
+    row, with integral sqrt(Td) = (n + 3)^n / (4^n * n!), on the K3 and K3_2
+    tables.  Read with unit weight instead, the K3_2 q^1 row would be 5/4."""
+    expected = {
+        "K3": [1, Fraction(1, 2)],
+        "K3_2": [Fraction(25, 32), Fraction(5, 8), Fraction(1, 8)],
+    }
+    for name, rows in expected.items():
+        family = preset(name)
+        n = family.n
+        volume = Fraction((n + 3) ** n, 4**n * factorial(n))
+        assert _sqrt_todd_rows(family) == rows
+        assert rows == [volume * comb(n, k) * Fraction(2, n + 3) ** k for k in range(n + 1)]

@@ -254,3 +254,56 @@ def test_gamma_p_refuses_q_past_the_size_bound():
     for q in (Fraction(1, bound + 1), Fraction(bound + 1), Fraction(bound + 1, bound)):
         with pytest.raises(ValueError, match="at most 10"):
             gamma_p(family, q)
+
+
+# -- gamma_p's substitution against composing with q*s^2 ----------------------
+
+# Twelve q drawn as the benchmark's gamma_p corpus draws them, plus 7/3, 32
+# and 10^(+-100).
+_rng = random.Random(0)
+_GAMMA_QS = [Fraction(_rng.randint(1, 400), _rng.randint(1, 12)) for _ in range(12)] + [
+    Fraction(7, 3), Fraction(32), Fraction(1, 10**100), Fraction(10**100),
+]
+
+
+def _random_family(n, seed):
+    """A complete n table of seeded one-digit fractions."""
+    from hktwist.family import _monomials
+    from hktwist.series import ChernMonomial
+
+    rng = random.Random(seed)
+    return HKFamily(f"random n={n}", n, {
+        ChernMonomial(m): Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        for weight in range(0, 2 * n + 1, 2) for m in _monomials(weight, weight)
+    })
+
+
+@pytest.mark.parametrize("family", [*PRESET_NAMES, "random n=5"])
+def test_gamma_p_substitutes_as_compose_does(family, monkeypatch):
+    """gamma_p's p(q*s^2), built by scaling coefficients, is the polynomial
+    composing with q*s^2 gives: its root has the same (poly, lo, hi), and a
+    polynomial past the size bound is refused with the same text."""
+    seen = []
+    largest = threshold._largest_real_root
+    monkeypatch.setattr(
+        threshold, "_largest_real_root", lambda poly: seen.append(poly) or largest(poly)
+    )
+    family = _random_family(5, 1) if family == "random n=5" else preset(family)
+    poly = build_threshold_poly(family)
+    refused = 0
+    for q in _GAMMA_QS:
+        composed = poly.compose(UniPoly((0, 0, q)))
+        seen.clear()
+        try:
+            threshold._bounded(composed, "gamma_p's polynomial at this q")
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refusal:
+                gamma_p(family, q)
+            assert str(refusal.value) == str(exc) and seen == []
+            refused += 1
+            continue
+        root = gamma_p(family, q)
+        assert seen == [composed]
+        expected = largest(composed)
+        assert (root.poly, root.lo, root.hi) == (expected.poly, expected.lo, expected.hi)
+    assert refused == (2 if family.name == "random n=5" else 0)
